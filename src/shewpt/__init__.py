@@ -33,19 +33,17 @@ from .transient_sim import (
     SteadyStateMetrics,
     TankState,
     TransientTrace,
-    cross_check_fha,
     derivatives,
+    energy_balance_residual,
     settle_detector,
     simulate,
     steady_state_metrics,
 )
 from .waveform import (
     AngleSet,
-    GatePattern,
     SteppedWaveform,
     fundamental_rms,
     harmonic_amplitude,
-    sample,
     synth,
     total_rms,
 )
@@ -55,7 +53,6 @@ from .wpt_link import (
     drive_fundamental_rms,
     equivalent_ac_load,
     fha_solve,
-    mutual_inductance,
     power_scaling_check,
     resonant_frequency,
 )

@@ -212,6 +212,24 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _add_transient_check(report: RunReport, params, fha, args):
+    """Simulate the square-driven link and report its steady state against FHA.
+
+    Adds the transient outputs and the 5% P_out comparison to ``report``;
+    returns the trace. ``args`` carries ``steps_per_cycle`` and ``cycles``.
+    """
+    drive = transient_sim.SquareDrive(amplitude=params.V_dc, frequency=params.f_s)
+    trace = transient_sim.simulate(
+        params, drive, steps_per_cycle=args.steps_per_cycle, n_cycles=args.cycles
+    )
+    metrics = transient_sim.steady_state_metrics(trace, params)
+    report.outputs["transient"] = metrics.to_dict()
+    report.add_comparison(
+        "transient P_out vs FHA (5%)", fha.P_out, metrics.P_out, 0.05 * fha.P_out
+    )
+    return trace
+
+
 def cmd_wpt(args) -> int:
     out_dir = _out_dir(args)
     if args.config:
@@ -222,15 +240,7 @@ def cmd_wpt(args) -> int:
     fha = wpt_link.fha_solve(params)
     report.outputs["fha"] = fha.to_dict()
     if args.mode == "transient":
-        drive = transient_sim.SquareDrive(amplitude=params.V_dc, frequency=params.f_s)
-        trace = transient_sim.simulate(
-            params, drive, steps_per_cycle=args.steps_per_cycle, n_cycles=args.cycles
-        )
-        metrics = transient_sim.steady_state_metrics(trace, params)
-        report.outputs["transient"] = metrics.to_dict()
-        report.add_comparison(
-            "transient P_out vs FHA (5%)", fha.P_out, metrics.P_out, 0.05 * fha.P_out
-        )
+        trace = _add_transient_check(report, params, fha, args)
         trace_path = out_dir / "transient_trace.csv"
         trace.to_csv(trace_path)
         report.outputs["trace_csv"] = str(trace_path)
@@ -275,7 +285,7 @@ def _reproduce_level_case(name, ref) -> RunReport:
     return report
 
 
-def _reproduce_wpt_case(name, v_dc, p_ref, sim_opts) -> RunReport:
+def _reproduce_wpt_case(name, v_dc, p_ref, args) -> RunReport:
     cfg = dict(TABLE_LINK_CONFIG, V_dc_V=v_dc)
     params = wpt_link.WptLinkParams.from_config(cfg)
     fha = wpt_link.fha_solve(params)
@@ -290,13 +300,7 @@ def _reproduce_wpt_case(name, v_dc, p_ref, sim_opts) -> RunReport:
         fha.P_out,
         REFERENCE_WPT["power_tol_rel"] * p_ref,
     )
-    drive = transient_sim.SquareDrive(amplitude=v_dc, frequency=params.f_s)
-    trace = transient_sim.simulate(params, drive, **sim_opts)
-    metrics = transient_sim.steady_state_metrics(trace, params)
-    report.outputs["transient"] = metrics.to_dict()
-    report.add_comparison(
-        "transient P_out vs FHA (5%)", fha.P_out, metrics.P_out, 0.05 * fha.P_out
-    )
+    _add_transient_check(report, params, fha, args)
     if name == "wpt100":
         ratio = wpt_link.power_scaling_check(params, 100.0, 150.0)
         report.add_comparison("model power ratio 150V/100V", 2.25, ratio, 1e-9)
@@ -309,7 +313,6 @@ def _reproduce_wpt_case(name, v_dc, p_ref, sim_opts) -> RunReport:
 
 def cmd_reproduce(args) -> int:
     out_dir = _out_dir(args)
-    sim_opts = {"steps_per_cycle": args.steps_per_cycle, "n_cycles": args.cycles}
     cases = ["3level", "4level", "wpt100", "wpt150"] if args.case == "all" else [args.case]
     reports = []
     for case in cases:
@@ -318,9 +321,9 @@ def cmd_reproduce(args) -> int:
         elif case == "4level":
             reports.append(_reproduce_level_case(case, REFERENCE_4LEVEL))
         elif case == "wpt100":
-            reports.append(_reproduce_wpt_case(case, 100.0, REFERENCE_WPT["P_100V"], sim_opts))
+            reports.append(_reproduce_wpt_case(case, 100.0, REFERENCE_WPT["P_100V"], args))
         elif case == "wpt150":
-            reports.append(_reproduce_wpt_case(case, 150.0, REFERENCE_WPT["P_150V"], sim_opts))
+            reports.append(_reproduce_wpt_case(case, 150.0, REFERENCE_WPT["P_150V"], args))
         else:
             raise ValidationError(f"case: unknown case {case!r}")
     consolidated = {

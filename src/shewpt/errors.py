@@ -18,7 +18,7 @@ class DivergenceError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Newton iteration hit the iteration cap; carries the best iterate seen."""
+    """An iteration hit its cap; Newton failures carry the best iterate seen."""
 
     def __init__(self, message, best_angles=None, residual_norm=None, iterations=None):
         super().__init__(message)

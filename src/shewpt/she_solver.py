@@ -124,7 +124,7 @@ def solve_newton(
     best_theta, best_norm = theta.copy(), norm
     for it in range(max_iter):
         if norm < tol:
-            return _finish(theta, norm, it, True)
+            return _finish(theta, norm, it)
         jac = _jacobian_raw(theta, orders)
         if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > CONDITION_LIMIT:
             raise SingularMatrixError(
@@ -160,7 +160,7 @@ def solve_newton(
             best_theta, best_norm = theta.copy(), norm
 
     if norm < tol:
-        return _finish(theta, norm, max_iter, True)
+        return _finish(theta, norm, max_iter)
     raise NonConvergenceError(
         f"max_iter={max_iter} exceeded (best residual norm {best_norm:.3e})",
         best_angles=np.sort(best_theta),
@@ -169,14 +169,14 @@ def solve_newton(
     )
 
 
-def _finish(theta: np.ndarray, norm: float, iterations: int, converged: bool):
+def _finish(theta: np.ndarray, norm: float, iterations: int):
     # the residual is permutation invariant; report the sorted angle set
     ordered = np.sort(theta)
     return SheSolution(
         angle_set=AngleSet(tuple(ordered)),
         residual_norm=norm,
         iterations=iterations,
-        converged=converged,
+        converged=True,
     )
 
 
@@ -195,7 +195,9 @@ def solve_multistart(
     """Newton from every ascending lattice seed; distinct converged roots.
 
     Roots are deduplicated at 0.01 degrees per angle and sorted by the
-    first angle. Seeds that diverge or stall are skipped.
+    first angle. Seeds that diverge or stall are skipped, and so are roots
+    with an angle within 0.01 degrees of 0 or pi/2: that layer never
+    switches.
     """
     if not 0.0 < grid_step_deg <= 15.0:
         raise ValidationError(f"grid_step_deg: {grid_step_deg!r} not in (0, 15]")
@@ -208,6 +210,8 @@ def solve_multistart(
         except (SingularMatrixError, DivergenceError, NonConvergenceError, ValidationError):
             continue
         theta = sol.angle_set.as_array()
+        if theta[0] < dedup or theta[-1] > math.pi / 2 - dedup:
+            continue
         if any(
             np.max(np.abs(theta - s.angle_set.as_array())) < dedup for s in found
         ):

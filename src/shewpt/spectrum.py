@@ -19,8 +19,8 @@ from .errors import UndefinedThdError, ValidationError
 from .waveform import (
     AngleSet,
     SteppedWaveform,
+    _harmonic_amplitudes,
     fundamental_rms,
-    harmonic_amplitude,
     interval_mean_samples,
     total_rms,
 )
@@ -91,8 +91,8 @@ def analytic_spectrum(
 ) -> HarmonicSpectrum:
     """Closed-form Fourier amplitudes of the staircase."""
     amps = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        amps[n] = abs(harmonic_amplitude(angle_set, step_voltage, n))
+    orders = np.arange(1, n_max + 1)
+    amps[1:] = np.abs(_harmonic_amplitudes(angle_set.as_array(), step_voltage, orders))
     return HarmonicSpectrum(fundamental_frequency=f1, amplitudes=amps, source="analytic")
 
 

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, SingularMatrixError, ValidationError
-from .waveform import SteppedWaveform
-from .wpt_link import WptLinkParams, fha_solve
+from .errors import DivergenceError, ValidationError
+from .waveform import SteppedWaveform, _signed_level_count
+# fha_solve is not called here; it stays a module attribute because the
+# benchmark's traced run (bench/spans.py) patches transient_sim.fha_solve
+from .wpt_link import WptLinkParams, fha_solve  # noqa: F401
 
 __all__ = [
     "TankState",
@@ -34,7 +36,7 @@ __all__ = [
     "simulate",
     "steady_state_metrics",
     "settle_detector",
-    "cross_check_fha",
+    "energy_balance_residual",
 ]
 
 
@@ -84,9 +86,6 @@ class TransientTrace:
     n_cycles: int
     angle_snap_error_rad: float
 
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.states)) * self.dt
-
     def cycle_states(self, cycle: int) -> np.ndarray:
         s = cycle * self.steps_per_cycle
         return self.states[s : s + self.steps_per_cycle + 1]
@@ -123,8 +122,6 @@ class SteadyStateMetrics:
 
 
 def _system_matrices(params: WptLinkParams, r_ac: float):
-    if params.k >= 1.0:
-        raise SingularMatrixError("k >= 1: inductance matrix singular")
     m = params.mutual
     l_inv = np.linalg.inv(np.array([[params.L1, m], [m, params.L2]]))
     a = np.zeros((4, 4))
@@ -133,7 +130,7 @@ def _system_matrices(params: WptLinkParams, r_ac: float):
     a[2, 0] = 1.0 / params.C1
     a[3, 1] = 1.0 / params.C2
     b = np.zeros(4)
-    b[0:2] = l_inv[:, 0]
+    b[0:2] = l_inv[:, 0]  # di/dt per volt of drive
     return a, b
 
 
@@ -157,12 +154,9 @@ def _drive_samples(drive, steps_per_cycle: int):
         snapped = np.round(theta / grid) * grid
         snap_err = float(np.max(np.abs(snapped - theta)))
         phases = np.arange(steps_per_cycle) * grid
-        sign = np.where(phases < math.pi, 1.0, -1.0)
-        half_phase = np.mod(phases, math.pi)
-        fold = np.minimum(half_phase, math.pi - half_phase)
         # half-grid slack makes the edge comparison exact despite float mod
-        count = (fold[:, None] >= snapped[None, :] - 0.5 * grid).sum(axis=1)
-        v = sign * count * drive.step_voltage
+        count = _signed_level_count(snapped - 0.5 * grid, phases)
+        v = count * drive.step_voltage
         return v, drive.fundamental_frequency, snap_err
     raise ValidationError(f"drive: unsupported type {type(drive).__name__}")
 
@@ -238,7 +232,6 @@ def steady_state_metrics(
     trace: TransientTrace,
     params: WptLinkParams,
     r_ac: float | None = None,
-    settle_cycles: int | None = None,
 ) -> SteadyStateMetrics:
     """RMS currents, powers, and the sampled ZVS check over the final cycle.
 
@@ -248,32 +241,24 @@ def steady_state_metrics(
     """
     if r_ac is None:
         r_ac = params.r_ac
-    if settle_cycles is None:
-        settle_cycles = trace.n_cycles - 1
-    if trace.n_cycles < settle_cycles + 1:
-        raise ValidationError(
-            f"settle_cycles: trace has {trace.n_cycles} cycles, "
-            f"needs {settle_cycles + 1}"
-        )
     spc = trace.steps_per_cycle
     last = trace.states[-spc - 1 : -1]  # one full cycle, left-closed
     i1, i2 = last[:, 0], last[:, 1]
     drive = trace.drive[-spc:]
 
-    m = params.mutual
-    l_inv = np.linalg.inv(np.array([[params.L1, m], [m, params.L2]]))
+    _, b = _system_matrices(params, r_ac)
     prev = np.roll(drive, 1)
     edges = np.nonzero(drive != prev)[0]
     dv = drive[edges] - prev[edges]
     # mean of i^2 with the slope-jump correction: each drive edge kinks di/dt
-    # by l_inv[:, 0] * dv, leaving an O(h^2) trapezoid defect per edge
+    # by b[0:2] * dv, leaving an O(h^2) trapezoid defect per edge
 
     def mean_sq(i, slope_gain):
         corr = np.sum(2.0 * i[edges] * slope_gain * dv) * trace.dt / 12.0
         return float(np.mean(i**2) + corr / spc)
 
-    mean_i1_sq = mean_sq(i1, l_inv[0, 0])
-    mean_i2_sq = mean_sq(i2, l_inv[1, 0])
+    mean_i1_sq = mean_sq(i1, b[0])
+    mean_i2_sq = mean_sq(i2, b[1])
     i1_rms = math.sqrt(max(0.0, mean_i1_sq))
     i2_rms = math.sqrt(max(0.0, mean_i2_sq))
     p_out = mean_i2_sq * r_ac
@@ -281,7 +266,6 @@ def steady_state_metrics(
 
     # rising drive edges within the last cycle (cyclic); ZVS holds when i1
     # is still negative at the sample immediately preceding each edge
-    prev = np.roll(drive, 1)
     rising = np.nonzero(drive > prev)[0]
     zvs = bool(len(rising) > 0 and np.all(i1[(rising - 1) % spc] < 0.0))
     return SteadyStateMetrics(
@@ -348,19 +332,3 @@ def energy_balance_residual(
     )
     return abs(de - (e_in - e_diss)) / gross
 
-
-def cross_check_fha(params: WptLinkParams, **sim_kwargs) -> dict:
-    """Run FHA and the transient model on the same link; report both P_out."""
-    fha = fha_solve(params)
-    drive = SquareDrive(amplitude=params.V_dc, frequency=params.f_s)
-    trace = simulate(params, drive, **sim_kwargs)
-    metrics = steady_state_metrics(trace, params)
-    return {
-        "fha_P_out_W": fha.P_out,
-        "transient_P_out_W": metrics.P_out,
-        "relative_gap": abs(metrics.P_out - fha.P_out) / fha.P_out
-        if fha.P_out
-        else math.inf,
-        "zvs_phasor": fha.zvs_favorable,
-        "zvs_time_domain": metrics.zvs,
-    }

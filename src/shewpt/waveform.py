@@ -21,9 +21,7 @@ from .errors import ValidationError
 __all__ = [
     "AngleSet",
     "SteppedWaveform",
-    "GatePattern",
     "synth",
-    "sample",
     "harmonic_amplitude",
     "fundamental_rms",
     "total_rms",
@@ -66,16 +64,17 @@ class AngleSet:
         return np.asarray(self.angles, dtype=float)
 
 
-@dataclass(frozen=True)
-class GatePattern:
-    """Per-layer conduction windows over one period, as angle intervals.
+def _signed_level_count(thresholds: np.ndarray, phase) -> np.ndarray:
+    """Signed count of layers conducting at electrical angle(s) ``phase``.
 
-    Layer i contributes +step inside ``positive[i]`` and -step inside
-    ``negative[i]``; zero elsewhere.
+    Layer i conducts where thresholds[i] <= fold <= pi - thresholds[i] in
+    the half period, with the sign of that half period.
     """
-
-    positive: tuple[tuple[float, float], ...]
-    negative: tuple[tuple[float, float], ...]
+    phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
+    half = np.mod(phase, math.pi)
+    sign = np.where(phase < math.pi, 1.0, -1.0)
+    fold = np.minimum(half, math.pi - half)
+    return sign * np.searchsorted(thresholds, fold, side="right")
 
 
 @dataclass(frozen=True)
@@ -102,24 +101,9 @@ class SteppedWaveform:
     def peak(self) -> float:
         return self.angle_set.levels * self.step_voltage
 
-    def gate_pattern(self) -> GatePattern:
-        pos = tuple((a, math.pi - a) for a in self.angle_set.angles)
-        neg = tuple((math.pi + a, 2 * math.pi - a) for a in self.angle_set.angles)
-        return GatePattern(positive=pos, negative=neg)
-
     def level_at_angle(self, phase):
         """Signed level count (integer in [-N, N]) at electrical angle(s)."""
-        phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
-        half = np.mod(phase, math.pi)
-        sign = np.where(phase < math.pi, 1.0, -1.0)
-        # layer i conducts where theta_i <= half <= pi - theta_i
-        fold = np.minimum(half, math.pi - half)
-        theta = self.angle_set.as_array()
-        count = np.searchsorted(theta, fold, side="right")
-        return sign * count
-
-    def value_at_angle(self, phase):
-        return self.step_voltage * self.level_at_angle(phase)
+        return _signed_level_count(self.angle_set.as_array(), phase)
 
     def sample_at(self, t):
         """Exact piecewise-constant evaluation at time(s) t."""
@@ -127,7 +111,7 @@ class SteppedWaveform:
         if not np.all(np.isfinite(t)):
             raise ValidationError("t: must be finite")
         omega = 2 * math.pi * self.fundamental_frequency
-        out = self.value_at_angle(omega * t)
+        out = self.step_voltage * self.level_at_angle(omega * t)
         return float(out) if out.ndim == 0 else out
 
     def angle_integral(self, phase):
@@ -164,18 +148,18 @@ def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWavefor
     )
 
 
-def sample(w: SteppedWaveform, t):
-    return w.sample_at(t)
+def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.ndarray:
+    """Signed b_n for an array of orders; even orders are exactly 0.0."""
+    n = np.asarray(orders)
+    amps = 4.0 * step_voltage / (n * math.pi) * np.cos(n[:, None] * theta).sum(axis=1)
+    return np.where(n % 2 == 0, 0.0, amps)
 
 
 def harmonic_amplitude(angle_set: AngleSet, step_voltage: float, n: int) -> float:
     """Peak amplitude of the n-th sine harmonic; exactly 0 for even n."""
     if n < 1 or int(n) != n:
         raise ValidationError(f"n: {n!r} must be a positive integer")
-    if n % 2 == 0:
-        return 0.0
-    theta = angle_set.as_array()
-    return 4.0 * step_voltage / (n * math.pi) * float(np.cos(n * theta).sum())
+    return float(_harmonic_amplitudes(angle_set.as_array(), step_voltage, [n])[0])
 
 
 def fundamental_rms(angle_set: AngleSet, step_voltage: float) -> float:

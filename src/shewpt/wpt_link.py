@@ -14,18 +14,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import NonConvergenceError, SingularMatrixError, ValidationError
 
 __all__ = [
     "WptLinkParams",
     "FhaSolution",
-    "mutual_inductance",
     "resonant_frequency",
     "equivalent_ac_load",
     "drive_fundamental_rms",
     "fha_solve",
     "power_scaling_check",
 ]
+
+DIODE_DROP_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,6 @@ class FhaSolution:
         }
 
 
-def mutual_inductance(k: float, L1: float, L2: float) -> float:
-    if not 0.0 < k < 1.0:
-        raise ValidationError(f"k: {k!r} must be in (0, 1)")
-    return k * math.sqrt(L1 * L2)
-
-
 def resonant_frequency(L: float, C: float) -> float:
     if L <= 0 or C <= 0:
         raise ValidationError("L, C must be > 0")
@@ -157,20 +152,30 @@ def _mesh_solve(params: WptLinkParams, v1: complex, v2: complex):
 
 
 def fha_solve(params: WptLinkParams) -> FhaSolution:
-    """Solve the two-mesh phasor system at the switching frequency."""
+    """Solve the two-mesh phasor system at the switching frequency.
+
+    Raises NonConvergenceError when the diode-drop fixed point has not
+    settled after DIODE_DROP_MAX_ITER mesh solves.
+    """
     v1 = complex(drive_fundamental_rms(params.V_dc))
     i1, i2 = _mesh_solve(params, v1, 0.0)
     if params.diode_drop > 0:
         # rectifier counter-emf: fundamental of the diode drop, in phase
         # with -I2; fixed-point since only its phase depends on the solution
         e_mag = 4.0 * params.diode_drop / (math.pi * math.sqrt(2.0))
-        for _ in range(50):
+        for _ in range(DIODE_DROP_MAX_ITER):
             phase = i2 / abs(i2) if abs(i2) > 0 else 1.0
             i1_new, i2_new = _mesh_solve(params, v1, -e_mag * phase)
-            if abs(i2_new - i2) < 1e-12 * max(1.0, abs(i2_new)):
-                i1, i2 = i1_new, i2_new
-                break
+            settled = abs(i2_new - i2) < 1e-12 * max(1.0, abs(i2_new))
             i1, i2 = i1_new, i2_new
+            if settled:
+                break
+        else:
+            raise NonConvergenceError(
+                f"diode-drop fixed point not settled after {DIODE_DROP_MAX_ITER} "
+                "iterations",
+                iterations=DIODE_DROP_MAX_ITER,
+            )
     r_ac = params.r_ac
     p_out = abs(i2) ** 2 * r_ac
     p_in = (v1 * i1.conjugate()).real

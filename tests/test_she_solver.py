@@ -185,6 +185,16 @@ class TestMultistart:
         with pytest.raises(ValidationError, match="grid_step_deg"):
             solve_multistart(targets_3, grid_step_deg=20.0)
 
+    def test_drops_roots_on_the_interval_bounds(self):
+        # (3, 7, 9) has two roots with an angle at pi/2 - 5e-14: that layer
+        # never switches, so it is not a branch
+        solutions = solve_multistart(HarmonicTargetSet((3, 7, 9)), grid_step_deg=5.0)
+        assert len(solutions) == 2
+        for sol in solutions:
+            degs = np.array(sol.angle_set.to_degrees())
+            assert np.all(degs >= 0.01)
+            assert np.all(degs <= 90.0 - 0.01)
+
     def test_eliminated_harmonics_of_every_branch(self, targets_3):
         for sol in solve_multistart(targets_3, grid_step_deg=5.0):
             b1 = harmonic_amplitude(sol.angle_set, 500.0, 1)

@@ -80,6 +80,24 @@ class TestWaveformSpectrum:
         assert np.max(np.abs(corrected.real)) * 2 < 1e-9 * fund
 
 
+class TestAnalyticSpectrum:
+    def test_equals_per_order_formula(self, waveform_3, waveform_4):
+        # the vectorised spectrum must equal the per-order closed form bit
+        # for bit, with even orders exactly zero
+        for w in (waveform_3, waveform_4):
+            theta = w.angle_set.as_array()
+            spec = analytic_spectrum(w.angle_set, w.step_voltage, 85e3, 999)
+            for n in range(1, 1000):
+                if n % 2 == 0:
+                    assert spec.amplitudes[n] == 0.0
+                    continue
+                ref = 4.0 * w.step_voltage / (n * math.pi) * float(np.cos(n * theta).sum())
+                assert spec.amplitudes[n] == abs(ref)
+                assert spec.amplitudes[n] == abs(
+                    harmonic_amplitude(w.angle_set, w.step_voltage, n)
+                )
+
+
 class TestThd:
     def test_pure_sinusoid_zero(self):
         spec = dft_spectrum(sine_samples(), 50.0, 99)

@@ -10,7 +10,6 @@ from shewpt import (
     ValidationError,
     fundamental_rms,
     harmonic_amplitude,
-    sample,
     synth,
     total_rms,
 )
@@ -53,8 +52,8 @@ class TestSynth:
         w = synth(AngleSet((1e-4,)), 500.0, 50.0)
         assert w.peak == 500.0
         t_quarter = 0.25 * w.period
-        assert sample(w, t_quarter) == 500.0
-        assert sample(w, 3 * t_quarter) == -500.0
+        assert w.sample_at(t_quarter) == 500.0
+        assert w.sample_at(3 * t_quarter) == -500.0
 
     def test_three_level_staircase(self, waveform_3):
         assert waveform_3.peak == pytest.approx(1500.0)
@@ -74,31 +73,24 @@ class TestSynth:
         with pytest.raises(ValidationError, match="fundamental_frequency"):
             synth(aset, 500.0, 0.0)
 
-    def test_gate_pattern_windows(self, waveform_3):
-        pattern = waveform_3.gate_pattern()
-        theta = waveform_3.angle_set.angles
-        for i, a in enumerate(theta):
-            assert pattern.positive[i] == (a, math.pi - a)
-            assert pattern.negative[i] == (math.pi + a, 2 * math.pi - a)
-
 
 class TestSample:
     def test_zero_at_origin(self, waveform_3):
-        assert sample(waveform_3, 0.0) == 0.0
+        assert waveform_3.sample_at(0.0) == 0.0
 
     def test_all_layers_on_at_quarter(self, waveform_3):
         t = 0.25 * waveform_3.period
-        assert sample(waveform_3, t) == pytest.approx(1500.0)
+        assert waveform_3.sample_at(t) == pytest.approx(1500.0)
 
     def test_quarter_wave_mirror(self, waveform_3):
         omega = 2 * math.pi / waveform_3.period
         t30 = (30 * DEG) / omega
         t_mirror = (math.pi - 30 * DEG) / omega
-        assert sample(waveform_3, t30) == sample(waveform_3, t_mirror)
+        assert waveform_3.sample_at(t30) == waveform_3.sample_at(t_mirror)
 
     def test_rejects_non_finite_time(self, waveform_3):
         with pytest.raises(ValidationError, match="t"):
-            sample(waveform_3, math.nan)
+            waveform_3.sample_at(math.nan)
 
     @given(aset=valid_angle_sets(), phase=st.floats(0, 2 * math.pi))
     @settings(max_examples=100, deadline=None)
@@ -106,7 +98,7 @@ class TestSample:
         w = synth(aset, 100.0, 1.0)
         half = 0.5 * w.period
         t = phase / (2 * math.pi) * w.period
-        assert sample(w, t + half) == pytest.approx(-sample(w, t), abs=1e-9)
+        assert w.sample_at(t + half) == pytest.approx(-w.sample_at(t), abs=1e-9)
 
     @given(aset=valid_angle_sets(), phase=st.floats(1e-6, math.pi - 1e-6))
     @settings(max_examples=100, deadline=None)
@@ -114,7 +106,7 @@ class TestSample:
         w = synth(aset, 100.0, 1.0)
         t = phase / (2 * math.pi) * w.period
         t_mirror = (math.pi - phase) / (2 * math.pi) * w.period
-        assert sample(w, t_mirror) == pytest.approx(sample(w, t), abs=1e-9)
+        assert w.sample_at(t_mirror) == pytest.approx(w.sample_at(t), abs=1e-9)
 
 
 class TestHarmonicAmplitude:

@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 
 from shewpt import (
+    NonConvergenceError,
     SingularMatrixError,
     ValidationError,
     WptLinkParams,
     drive_fundamental_rms,
     equivalent_ac_load,
     fha_solve,
-    mutual_inductance,
     power_scaling_check,
     resonant_frequency,
 )
@@ -31,19 +31,19 @@ def scalar_oracle_p_out(params):
 
 
 class TestHelpers:
-    def test_mutual_inductance_value(self):
-        assert mutual_inductance(0.309, 245e-6, 245e-6) == pytest.approx(
-            75.705e-6, rel=1e-9
+    def test_mutual_inductance_value(self, table_params):
+        assert table_params.mutual == pytest.approx(75.705e-6, rel=1e-9)
+
+    def test_mutual_inductance_linear_in_k(self, table_params):
+        assert replace(table_params, k=0.6).mutual == pytest.approx(
+            2 * replace(table_params, k=0.3).mutual
         )
 
-    def test_mutual_inductance_linear_in_k(self):
-        assert mutual_inductance(0.6, 1e-4, 1e-4) == pytest.approx(
-            2 * mutual_inductance(0.3, 1e-4, 1e-4)
-        )
-
-    def test_mutual_inductance_rejects_unit_coupling(self):
+    def test_mutual_inductance_rejects_unit_coupling(self, table_params):
+        # [0, 1) is the one range check: k = 0 is the uncoupled limit
         with pytest.raises(ValidationError, match="k"):
-            mutual_inductance(1.0, 1e-4, 1e-4)
+            replace(table_params, k=1.0)
+        assert replace(table_params, k=0.0).mutual == 0.0
 
     def test_resonant_frequency_value(self):
         assert resonant_frequency(245e-6, 14e-9) == pytest.approx(85935.59, abs=0.01)
@@ -184,6 +184,12 @@ class TestFhaSolve:
         dropped = fha_solve(replace(table_params, diode_drop=1.4)).P_out
         assert dropped < base
         assert dropped > 0.8 * base
+
+    def test_diode_drop_fixed_point_cap_raises(self, table_params):
+        # a drop this large against a light load never settles its phase
+        p = replace(table_params, diode_drop=20.0, R_load_dc=2000.0, f_s=60e3)
+        with pytest.raises(NonConvergenceError, match="diode"):
+            fha_solve(p)
 
     def test_singular_mesh(self):
         # lossless tank driven exactly at the lower coupled-mode frequency
