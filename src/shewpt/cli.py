@@ -111,7 +111,6 @@ def _write_solution_files(solutions, targets, out_dir: Path, stem: str):
                 "angles_deg": list(sol.angle_set.to_degrees()),
                 "residual_norm": sol.residual_norm,
                 "iterations": sol.iterations,
-                "converged": sol.converged,
             }
             for sol in solutions
         ],

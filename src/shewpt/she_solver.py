@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class SheSolution:
     angle_set: AngleSet
     residual_norm: float
     iterations: int
-    converged: bool
 
 
 def _check_square(angles: AngleSet, targets: HarmonicTargetSet):
@@ -94,11 +93,85 @@ def jacobian(angles: AngleSet, targets: HarmonicTargetSet) -> np.ndarray:
 
 
 def _residual_raw(theta: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    return np.cos(orders[:, None] * theta[None, :]).sum(axis=1)
+    # theta is (K,) or a stack (S, K); the sum runs over the angles
+    return np.cos(orders[:, None] * theta[..., None, :]).sum(axis=-1)
 
 
 def _jacobian_raw(theta: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    return -orders[:, None] * np.sin(orders[:, None] * theta[None, :])
+    return -orders[:, None] * np.sin(orders[:, None] * theta[..., None, :])
+
+
+# seed outcomes of _newton_batch
+CONVERGED, DIVERGED, STALLED, SINGULAR = range(4)
+
+
+def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: int):
+    """Damped Newton iteration of every row of ``theta0`` (S, K) at once.
+
+    Each iteration solves the active seeds' Newton systems as one stack.
+    A seed whose Jacobian is not finite or has a condition number above
+    CONDITION_LIMIT retires as SINGULAR. Otherwise its step is scaled by
+    1, 1/2, 1/4, ... (MAX_STEP_HALVINGS halvings) until the iterate stays
+    inside (0, pi/2) and the residual infinity-norm strictly decreases;
+    only the seeds still pending try the next scale. A seed that exhausts
+    the halvings retires as DIVERGED if no scaled iterate was inside, and
+    as STALLED otherwise; so does a seed whose norm is still at or above
+    tol after max_iter steps.
+
+    Returns the last iterates (S, K), their residual norms, the outcome
+    codes and the iteration counts (the step at which the seed retired).
+    """
+    if not tol > 0:
+        raise ValidationError(f"tol: {tol!r} must be > 0")
+    theta = np.array(theta0, dtype=float)
+    res = _residual_raw(theta, orders)
+    norm = np.abs(res).max(axis=1)
+    status = np.full(len(theta), STALLED)
+    iters = np.full(len(theta), max_iter)
+    active = np.arange(len(theta))
+    half_pi = math.pi / 2
+    for it in range(max_iter):
+        done = norm[active] < tol
+        status[active[done]] = CONVERGED
+        iters[active[done]] = it
+        active = active[~done]
+        jac = _jacobian_raw(theta[active], orders)
+        singular = ~np.isfinite(jac).all(axis=(1, 2))
+        singular[~singular] = np.linalg.cond(jac[~singular]) > CONDITION_LIMIT
+        status[active[singular]] = SINGULAR
+        iters[active[singular]] = it
+        active, jac = active[~singular], jac[~singular]
+        if not len(active):
+            break
+        step = np.linalg.solve(jac, -res[active][..., None])[..., 0]
+
+        # lazy damping: only the seeds not yet accepted try the next scale
+        pending = np.arange(len(active))
+        accepted = np.zeros(len(active), dtype=bool)
+        inside_seen = np.zeros(len(active), dtype=bool)
+        scale = 1.0
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            cand = theta[active[pending]] + scale * step[pending]
+            inside = ((cand > 0.0) & (cand < half_pi)).all(axis=1)
+            tried, cand = pending[inside], cand[inside]
+            inside_seen[tried] = True
+            cand_res = _residual_raw(cand, orders)
+            cand_norm = np.abs(cand_res).max(axis=1)
+            better = cand_norm < norm[active[tried]]
+            took = active[tried[better]]
+            theta[took], res[took] = cand[better], cand_res[better]
+            norm[took] = cand_norm[better]
+            accepted[tried[better]] = True
+            pending = pending[~accepted[pending]]
+            if not len(pending):
+                break
+            scale *= 0.5
+        failed = active[pending]
+        status[failed] = np.where(inside_seen[pending], STALLED, DIVERGED)
+        iters[failed] = it
+        active = active[accepted]
+    status[active[norm[active] < tol]] = CONVERGED
+    return theta, norm, status, iters
 
 
 def solve_newton(
@@ -107,65 +180,32 @@ def solve_newton(
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> SheSolution:
-    """Damped Newton iteration from ``initial``.
+    """Damped Newton iteration from ``initial``: one seed of the batch kernel.
 
     Steps are halved (up to 30 times) until the residual infinity-norm
     decreases and the iterate stays inside (0, pi/2); iterates that cannot
     be kept inside raise DivergenceError.
     """
     _check_square(initial, targets)
-    if not tol > 0:
-        raise ValidationError(f"tol: {tol!r} must be > 0")
-    orders = targets.as_array()
-    theta = initial.as_array().copy()
-    half_pi = math.pi / 2
-
-    norm = float(np.max(np.abs(_residual_raw(theta, orders))))
-    best_theta, best_norm = theta.copy(), norm
-    for it in range(max_iter):
-        if norm < tol:
-            return _finish(theta, norm, it)
-        jac = _jacobian_raw(theta, orders)
-        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > CONDITION_LIMIT:
-            raise SingularMatrixError(
-                f"Jacobian numerically singular at iteration {it}"
-            )
-        step = np.linalg.solve(jac, -_residual_raw(theta, orders))
-
-        scale = 1.0
-        accepted = False
-        inside_seen = False
-        for _ in range(MAX_STEP_HALVINGS + 1):
-            cand = theta + scale * step
-            if np.all(cand > 0.0) and np.all(cand < half_pi):
-                inside_seen = True
-                cand_norm = float(np.max(np.abs(_residual_raw(cand, orders))))
-                if cand_norm < norm:
-                    theta, norm = cand, cand_norm
-                    accepted = True
-                    break
-            scale *= 0.5
-        if not accepted:
-            if not inside_seen:
-                raise DivergenceError(
-                    f"iterate left (0, pi/2) after full damping at iteration {it}"
-                )
-            raise NonConvergenceError(
-                f"no residual decrease after {MAX_STEP_HALVINGS} halvings",
-                best_angles=np.sort(best_theta),
-                residual_norm=best_norm,
-                iterations=it,
-            )
-        if norm < best_norm:
-            best_theta, best_norm = theta.copy(), norm
-
-    if norm < tol:
-        return _finish(theta, norm, max_iter)
+    theta, norm, status, iters = _newton_batch(
+        initial.as_array()[None, :], targets.as_array(), tol, max_iter
+    )
+    theta, norm, status, it = theta[0], float(norm[0]), status[0], int(iters[0])
+    if status == CONVERGED:
+        return _finish(theta, norm, it)
+    if status == SINGULAR:
+        raise SingularMatrixError(f"Jacobian numerically singular at iteration {it}")
+    if status == DIVERGED:
+        raise DivergenceError(
+            f"iterate left (0, pi/2) after full damping at iteration {it}"
+        )
+    # every accepted step lowers the norm, so the last iterate is the best
+    if it < max_iter:
+        message = f"no residual decrease after {MAX_STEP_HALVINGS} halvings"
+    else:
+        message = f"max_iter={max_iter} exceeded (best residual norm {norm:.3e})"
     raise NonConvergenceError(
-        f"max_iter={max_iter} exceeded (best residual norm {best_norm:.3e})",
-        best_angles=np.sort(best_theta),
-        residual_norm=best_norm,
-        iterations=max_iter,
+        message, best_angles=np.sort(theta), residual_norm=norm, iterations=it
     )
 
 
@@ -173,10 +213,7 @@ def _finish(theta: np.ndarray, norm: float, iterations: int):
     # the residual is permutation invariant; report the sorted angle set
     ordered = np.sort(theta)
     return SheSolution(
-        angle_set=AngleSet(tuple(ordered)),
-        residual_norm=norm,
-        iterations=iterations,
-        converged=True,
+        angle_set=AngleSet(tuple(ordered)), residual_norm=norm, iterations=iterations
     )
 
 
@@ -184,6 +221,14 @@ def _lattice_values(step_deg: float) -> np.ndarray:
     # interior lattice of (0, 90) degrees
     n = int(math.ceil(90.0 / step_deg)) - 1
     return np.arange(1, n + 1) * step_deg
+
+
+# Seeds per _newton_batch call in solve_multistart. A chunk's working set is
+# a few (S, K, K) float64 stacks (the residual and Jacobian terms, the copy
+# the condition check decomposes: 512 KiB each at S = 4096, K = 4) plus
+# (S, K) iterates and steps. Its peak, about 3 MiB at K = 4 (tracemalloc,
+# 4-level targets on the 2.5 degree lattice), does not grow with the lattice.
+MULTISTART_CHUNK = 4096
 
 
 def solve_multistart(
@@ -194,29 +239,52 @@ def solve_multistart(
 ) -> list[SheSolution]:
     """Newton from every ascending lattice seed; distinct converged roots.
 
-    Roots are deduplicated at 0.01 degrees per angle and sorted by the
-    first angle. Seeds that diverge or stall are skipped, and so are roots
-    with an angle within 0.01 degrees of 0 or pi/2: that layer never
-    switches.
+    The seeds are iterated together, MULTISTART_CHUNK at a time, and their
+    roots taken in lattice order. Roots are deduplicated at 0.01 degrees
+    per angle (the first seed reaching a root keeps it) and sorted by the
+    first angle. Seeds that diverge, stall or meet a singular Jacobian are
+    skipped, and so are roots with a repeated angle or an angle within
+    0.01 degrees of 0 or pi/2: that layer never switches. One debug record
+    on the ``shewpt.she_solver`` logger counts the outcomes.
     """
     if not 0.0 < grid_step_deg <= 15.0:
         raise ValidationError(f"grid_step_deg: {grid_step_deg!r} not in (0, 15]")
     values = np.radians(_lattice_values(grid_step_deg))
+    orders = targets.as_array()
     dedup = math.radians(DEDUP_TOL_DEG)
+    counts = np.zeros(4, dtype=int)
+    invalid = on_bounds = 0
     found: list[SheSolution] = []
-    for seed in combinations(values, targets.size):
-        try:
-            sol = solve_newton(AngleSet(seed), targets, tol=tol, max_iter=max_iter)
-        except (SingularMatrixError, DivergenceError, NonConvergenceError, ValidationError):
-            continue
-        theta = sol.angle_set.as_array()
-        if theta[0] < dedup or theta[-1] > math.pi / 2 - dedup:
-            continue
-        if any(
-            np.max(np.abs(theta - s.angle_set.as_array())) < dedup for s in found
-        ):
-            continue
-        found.append(sol)
+    lattice = combinations(range(len(values)), targets.size)
+    while chunk := list(islice(lattice, MULTISTART_CHUNK)):
+        seeds = values[np.array(chunk, dtype=np.intp)]
+        theta, norm, status, iters = _newton_batch(seeds, orders, tol, max_iter)
+        counts += np.bincount(status, minlength=4)
+        for i in np.flatnonzero(status == CONVERGED):
+            try:
+                sol = _finish(theta[i], float(norm[i]), int(iters[i]))
+            except ValidationError:
+                invalid += 1
+                continue
+            root = sol.angle_set.as_array()
+            if root[0] < dedup or root[-1] > math.pi / 2 - dedup:
+                on_bounds += 1
+                continue
+            if any(
+                np.max(np.abs(root - s.angle_set.as_array())) < dedup for s in found
+            ):
+                continue
+            found.append(sol)
+    # imported here: at module level logging adds 5-10 ms to every import of
+    # shewpt, and most commands never run a multistart
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "multistart %s at %g deg: %d seeds, %d converged, %d diverged, "
+        "%d stalled, %d singular, %d invalid, %d on the bounds, %d branches",
+        targets.orders, grid_step_deg, counts.sum(), *counts, invalid,
+        on_bounds, len(found),
+    )
     found.sort(key=lambda s: s.angle_set.angles[0])
     return found
 

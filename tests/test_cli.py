@@ -20,7 +20,8 @@ class TestSolve:
         assert code == 0
         assert "30.0000" in out
         report = json.loads((tmp_path / "she_solution.json").read_text())
-        assert report["solutions"][0]["converged"] is True
+        assert report["solutions"][0]["residual_norm"] < 1e-12
+        assert "converged" not in report["solutions"][0]
         assert report["solutions"][0]["angles_deg"][0] == pytest.approx(30.0)
         assert (tmp_path / "she_solution_0.csv").exists()
         assert (tmp_path / "she_solution.json.meta.json").exists()

@@ -1,5 +1,8 @@
+import functools
+import logging
 import math
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,8 +10,10 @@ import pytest
 from shewpt import (
     AngleSet,
     DimensionMismatchError,
+    DivergenceError,
     HarmonicTargetSet,
     NonConvergenceError,
+    SingularMatrixError,
     ValidationError,
     fundamental_rms,
     grid_oracle,
@@ -18,8 +23,95 @@ from shewpt import (
     solve_multistart,
     solve_newton,
 )
+from shewpt import she_solver
 
 DEG = math.pi / 180.0
+
+
+def _reference_newton(theta0, orders, tol=1e-12, max_iter=60):
+    """One seed at a time: the scalar damped Newton loop the batch kernel replaced.
+
+    Returns (sorted angles, residual norm, iterations) or raises as
+    solve_newton does; 30 halvings and the 1e12 condition limit are literal.
+    """
+    def res_of(theta):
+        return np.cos(orders[:, None] * theta[None, :]).sum(axis=1)
+
+    theta = np.asarray(theta0, dtype=float).copy()
+    half_pi = math.pi / 2
+    norm = float(np.max(np.abs(res_of(theta))))
+    best_theta, best_norm = theta.copy(), norm
+    for it in range(max_iter):
+        if norm < tol:
+            return tuple(np.sort(theta)), norm, it
+        jac = -orders[:, None] * np.sin(orders[:, None] * theta[None, :])
+        if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
+            raise SingularMatrixError(
+                f"Jacobian numerically singular at iteration {it}"
+            )
+        step = np.linalg.solve(jac, -res_of(theta))
+
+        scale = 1.0
+        accepted = False
+        inside_seen = False
+        for _ in range(30 + 1):
+            cand = theta + scale * step
+            if np.all(cand > 0.0) and np.all(cand < half_pi):
+                inside_seen = True
+                cand_norm = float(np.max(np.abs(res_of(cand))))
+                if cand_norm < norm:
+                    theta, norm = cand, cand_norm
+                    accepted = True
+                    break
+            scale *= 0.5
+        if not accepted:
+            if not inside_seen:
+                raise DivergenceError(
+                    f"iterate left (0, pi/2) after full damping at iteration {it}"
+                )
+            raise NonConvergenceError(
+                "no residual decrease after 30 halvings",
+                best_angles=np.sort(best_theta),
+                residual_norm=best_norm,
+                iterations=it,
+            )
+        if norm < best_norm:
+            best_theta, best_norm = theta.copy(), norm
+
+    if norm < tol:
+        return tuple(np.sort(theta)), norm, max_iter
+    raise NonConvergenceError(
+        f"max_iter={max_iter} exceeded (best residual norm {best_norm:.3e})",
+        best_angles=np.sort(best_theta),
+        residual_norm=best_norm,
+        iterations=max_iter,
+    )
+
+
+def _outcome(solve, *args):
+    """A comparable record of one solve: its result or its exception."""
+    try:
+        out = solve(*args)
+    except NonConvergenceError as exc:
+        return ("NonConvergenceError", str(exc), tuple(exc.best_angles),
+                exc.residual_norm, exc.iterations)
+    except (SingularMatrixError, DivergenceError) as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(out, tuple):
+        return ("ok", *out)
+    return ("ok", out.angle_set.angles, out.residual_norm, out.iterations)
+
+
+def _lattice_seeds(k, step_deg=5.0):
+    values = np.radians(np.arange(1, int(math.ceil(90.0 / step_deg))) * step_deg)
+    return list(combinations(values, k))
+
+
+@functools.cache
+def _reference_outcomes(orders):
+    arr = np.asarray(orders, dtype=float)
+    return [_outcome(_reference_newton, np.array(seed), arr)
+            for seed in _lattice_seeds(len(orders))]
 
 
 class TestTargetSet:
@@ -108,7 +200,6 @@ class TestJacobian:
 
 class TestNewton:
     def test_three_level_convergence(self, solution_3):
-        assert solution_3.converged
         assert solution_3.residual_norm < 1e-12
         np.testing.assert_allclose(
             solution_3.angle_set.to_degrees(),
@@ -144,6 +235,33 @@ class TestNewton:
         assert err.residual_norm < np.max(
             np.abs(residual(init, targets_3))
         )  # one damped step already improved
+
+    @pytest.mark.parametrize("orders", [(3, 5, 7), (5, 7, 11)])
+    def test_every_lattice_seed_matches_the_scalar_reference(self, orders):
+        # same exception and message, or the same root, norm and iteration
+        # count, bit for bit, for each of the 680 seeds of the 5 deg lattice
+        targets = HarmonicTargetSet(orders)
+        got = [_outcome(solve_newton, AngleSet(seed), targets)
+               for seed in _lattice_seeds(len(orders))]
+        want = _reference_outcomes(orders)
+        assert [o[0] for o in got].count("ok") > 0
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "theta, tol, kind",
+        [
+            # condition number near 1e13, above the 1e12 limit
+            ((0.3, 0.3 + 1e-13, 1.0), 1e-12, "SingularMatrixError"),
+            # near 1e11: solved, then no damped step stays inside
+            ((0.3, 0.3 + 1e-11, 1.0), 1e-12, "DivergenceError"),
+            # a root with tol out of reach: equal norms are no decrease
+            ((0.20929952, 0.73177961, 1.49530684), 1e-300, "NonConvergenceError"),
+        ],
+    )
+    def test_guards_match_the_scalar_reference(self, targets_3, theta, tol, kind):
+        got = _outcome(solve_newton, AngleSet(theta), targets_3, tol)
+        assert got[0] == kind
+        assert got == _outcome(_reference_newton, np.array(theta), targets_3.as_array(), tol)
 
 
 class TestMultistart:
@@ -194,6 +312,73 @@ class TestMultistart:
             degs = np.array(sol.angle_set.to_degrees())
             assert np.all(degs >= 0.01)
             assert np.all(degs <= 90.0 - 0.01)
+
+    @pytest.mark.parametrize("orders", [(3, 5, 7), (5, 7, 11)])
+    def test_equals_the_reference_loop(self, orders):
+        # the seed-by-seed loop over the scalar reference, first found kept
+        dedup = 0.01 * DEG
+        found = []
+        for out in _reference_outcomes(orders):
+            if out[0] != "ok":
+                continue
+            root = np.array(out[1])
+            if np.any(np.diff(root) <= 0):
+                continue
+            if root[0] < dedup or root[-1] > math.pi / 2 - dedup:
+                continue
+            if any(np.max(np.abs(root - np.array(f[0]))) < dedup for f in found):
+                continue
+            found.append(out[1:])
+        found.sort(key=lambda f: f[0][0])
+        got = solve_multistart(HarmonicTargetSet(orders), grid_step_deg=5.0)
+        assert [(s.angle_set.angles, s.residual_norm, s.iterations) for s in got] == found
+
+    def test_chunk_boundaries_do_not_change_the_branches(self, monkeypatch):
+        targets = HarmonicTargetSet((5, 7, 11))
+        whole = solve_multistart(targets, grid_step_deg=5.0)
+        monkeypatch.setattr(she_solver, "MULTISTART_CHUNK", 7)
+        assert solve_multistart(targets, grid_step_deg=5.0) == whole
+        assert len(whole) == 7
+
+    @pytest.mark.parametrize(
+        "orders, counts",
+        [
+            ((3, 5, 7, 9), "2380 seeds, 1034 converged, 1147 diverged, 181 stalled, "
+                           "18 singular, 0 invalid"),
+            ((3, 5, 7), "680 seeds, 450 converged, 200 diverged, 26 stalled, "
+                        "4 singular, 0 invalid"),
+        ],
+        ids=["4-level", "3-level"],
+    )
+    def test_logs_seed_outcomes(self, caplog, orders, counts):
+        with caplog.at_level(logging.DEBUG, logger="shewpt.she_solver"):
+            solve_multistart(HarmonicTargetSet(orders), grid_step_deg=5.0)
+        records = [r for r in caplog.records if r.name == "shewpt.she_solver"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert counts in records[0].getMessage()
+
+    def test_logs_roots_dropped_on_the_bounds(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="shewpt.she_solver"):
+            solve_multistart(HarmonicTargetSet((3, 7, 9)), grid_step_deg=5.0)
+        assert "141 on the bounds, 2 branches" in caplog.records[-1].getMessage()
+
+    def test_silent_by_default(self, capsys):
+        solve_multistart(HarmonicTargetSet((3, 5)), grid_step_deg=5.0)
+        assert capsys.readouterr() == ("", "")
+
+    def test_rejects_bad_tolerance(self, targets_3):
+        with pytest.raises(ValidationError, match="tol"):
+            solve_multistart(targets_3, tol=0.0)
+
+    def test_finer_lattice_finds_no_new_branch(self, targets_3):
+        # 6,545 seeds at 2.5 deg reach the same two branches as 680 at 5 deg
+        coarse = solve_multistart(targets_3, grid_step_deg=5.0)
+        fine = solve_multistart(targets_3, grid_step_deg=2.5)
+        assert len(coarse) == len(fine) == 2
+        for a, b in zip(coarse, fine):
+            gap = np.abs(np.array(a.angle_set.to_degrees()) - b.angle_set.to_degrees())
+            assert np.max(gap) < 0.01
 
     def test_eliminated_harmonics_of_every_branch(self, targets_3):
         for sol in solve_multistart(targets_3, grid_step_deg=5.0):
