@@ -35,7 +35,6 @@ from .transient_sim import (
     TransientTrace,
     derivatives,
     energy_balance_residual,
-    settle_detector,
     simulate,
     steady_state_metrics,
 )

@@ -211,18 +211,23 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _add_transient_check(report: RunReport, params, fha, args):
+def _add_transient_check(report: RunReport, params, fha, steps_per_cycle):
     """Simulate the square-driven link and report its steady state against FHA.
 
-    Adds the transient outputs and the 5% P_out comparison to ``report``;
-    returns the trace. ``args`` carries ``steps_per_cycle`` and ``cycles``.
+    Adds the transient outputs, their diagnostics and the 5% P_out
+    comparison to ``report``; returns the trace.
     """
     drive = transient_sim.SquareDrive(amplitude=params.V_dc, frequency=params.f_s)
-    trace = transient_sim.simulate(
-        params, drive, steps_per_cycle=args.steps_per_cycle, n_cycles=args.cycles
-    )
+    trace = transient_sim.simulate(params, drive, steps_per_cycle=steps_per_cycle)
     metrics = transient_sim.steady_state_metrics(trace, params)
-    report.outputs["transient"] = metrics.to_dict()
+    report.outputs["transient"] = dict(
+        metrics.to_dict(),
+        spectral_radius=trace.spectral_radius,
+        angle_snap_error_deg=math.degrees(trace.angle_snap_error_rad),
+        energy_balance_residual=transient_sim.energy_balance_residual(
+            trace, params, trace.r_ac
+        ),
+    )
     report.add_comparison(
         "transient P_out vs FHA (5%)", fha.P_out, metrics.P_out, 0.05 * fha.P_out
     )
@@ -239,7 +244,7 @@ def cmd_wpt(args) -> int:
     fha = wpt_link.fha_solve(params)
     report.outputs["fha"] = fha.to_dict()
     if args.mode == "transient":
-        trace = _add_transient_check(report, params, fha, args)
+        trace = _add_transient_check(report, params, fha, args.steps_per_cycle)
         trace_path = out_dir / "transient_trace.csv"
         trace.to_csv(trace_path)
         report.outputs["trace_csv"] = str(trace_path)
@@ -299,7 +304,7 @@ def _reproduce_wpt_case(name, v_dc, p_ref, args) -> RunReport:
         fha.P_out,
         REFERENCE_WPT["power_tol_rel"] * p_ref,
     )
-    _add_transient_check(report, params, fha, args)
+    _add_transient_check(report, params, fha, args.steps_per_cycle)
     if name == "wpt100":
         ratio = wpt_link.power_scaling_check(params, 100.0, 150.0)
         report.add_comparison("model power ratio 150V/100V", 2.25, ratio, 1e-9)
@@ -379,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON link config (defaults to the measured setup)")
     p.add_argument("--mode", choices=["fha", "transient"], default="fha")
     p.add_argument("--steps-per-cycle", type=int, default=4096)
-    p.add_argument("--cycles", type=int, default=60)
     p.set_defaults(func=cmd_wpt)
 
     p = sub.add_parser("reproduce", help="regenerate the headline reference numbers")
@@ -389,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--steps-per-cycle", type=int, default=4096)
-    p.add_argument("--cycles", type=int, default=60)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

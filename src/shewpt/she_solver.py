@@ -37,6 +37,8 @@ MAX_STEP_HALVINGS = 30
 CONDITION_LIMIT = 1e12
 DEDUP_TOL_DEG = 0.01
 LATTICE_POINT_LIMIT = 1_000_000_000
+# about 20 minutes of multistart at 0.12 ms per seed
+MULTISTART_SEED_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,8 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     """
     if not tol > 0:
         raise ValidationError(f"tol: {tol!r} must be > 0")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter: {max_iter!r} must be >= 1")
     theta = np.array(theta0, dtype=float)
     res = _residual_raw(theta, orders)
     norm = np.abs(res).max(axis=1)
@@ -217,10 +221,15 @@ def _finish(theta: np.ndarray, norm: float, iterations: int):
     )
 
 
-def _lattice_values(step_deg: float) -> np.ndarray:
-    # interior lattice of (0, 90) degrees
-    n = int(math.ceil(90.0 / step_deg)) - 1
-    return np.arange(1, n + 1) * step_deg
+def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarray:
+    """Interior lattice of (0, 90) degrees, checked before it is built to
+    have at most ``limit`` ascending k-tuples (``name`` is the argument)."""
+    m = int(math.ceil(90.0 / step_deg)) - 1
+    if math.comb(m, k) > limit:
+        raise ValidationError(
+            f"{name}: lattice of {math.comb(m, k)} points exceeds the cost guard"
+        )
+    return np.arange(1, m + 1) * step_deg
 
 
 # Seeds per _newton_batch call in solve_multistart. A chunk's working set is
@@ -245,11 +254,16 @@ def solve_multistart(
     first angle. Seeds that diverge, stall or meet a singular Jacobian are
     skipped, and so are roots with a repeated angle or an angle within
     0.01 degrees of 0 or pi/2: that layer never switches. One debug record
-    on the ``shewpt.she_solver`` logger counts the outcomes.
+    on the ``shewpt.she_solver`` logger counts the outcomes. Lattices of
+    more than MULTISTART_SEED_LIMIT seeds are rejected.
     """
     if not 0.0 < grid_step_deg <= 15.0:
         raise ValidationError(f"grid_step_deg: {grid_step_deg!r} not in (0, 15]")
-    values = np.radians(_lattice_values(grid_step_deg))
+    values = np.radians(
+        _lattice_values(
+            grid_step_deg, targets.size, MULTISTART_SEED_LIMIT, "grid_step_deg"
+        )
+    )
     orders = targets.as_array()
     dedup = math.radians(DEDUP_TOL_DEG)
     counts = np.zeros(4, dtype=int)
@@ -297,13 +311,9 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     """
     if step_deg < 0.05:
         raise ValidationError(f"step_deg: {step_deg!r} below the 0.05 cost guard")
-    values_deg = _lattice_values(step_deg)
-    m = len(values_deg)
     k = targets.size
-    if math.comb(m, k) > LATTICE_POINT_LIMIT:
-        raise ValidationError(
-            f"step_deg: lattice of {math.comb(m, k)} points exceeds the cost guard"
-        )
+    values_deg = _lattice_values(step_deg, k, LATTICE_POINT_LIMIT, "step_deg")
+    m = len(values_deg)
     theta = np.radians(values_deg)
     orders = targets.as_array()
     cos_tab = np.cos(orders[:, None] * theta[None, :])  # (K, m)

@@ -68,6 +68,8 @@ class ThdReport:
 
 
 def _check_count(count: int, n_max: int):
+    if n_max < 1:
+        raise ValidationError(f"n_max: {n_max!r} must be >= 1")
     if count < 2 or count & (count - 1):
         raise ValidationError(f"samples: count {count} is not a power of two")
     if count < 2 * n_max + 2:

@@ -11,6 +11,11 @@ integrator is classical fourth-order Runge-Kutta; because the system is
 linear with piecewise-constant drive, the RK4 update collapses to the
 exact affine map x -> Phi x + Gamma v, which is precomputed once and
 applied per step.
+
+Over one cycle the tank is then the affine map x -> P x + q; its periodic
+steady state is the fixed point x* = (I - P)^-1 q (shooting for a linear
+circuit: Aprille & Trick, Proc. IEEE 60(1), 1972), and the spectral radius
+of P is the factor by which a start-up transient decays per cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "derivatives",
     "simulate",
     "steady_state_metrics",
-    "settle_detector",
     "energy_balance_residual",
 ]
 
@@ -50,8 +54,8 @@ class SquareDrive:
     def __post_init__(self):
         if not self.amplitude >= 0:
             raise ValidationError(f"amplitude: {self.amplitude!r} must be >= 0")
-        if not self.frequency > 0:
-            raise ValidationError(f"frequency: {self.frequency!r} must be > 0")
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValidationError(f"frequency: {self.frequency!r} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -77,18 +81,15 @@ class TankState:
 
 @dataclass(frozen=True)
 class TransientTrace:
-    """Uniform-grid state history; states[s] = (i1, i2, vC1, vC2) at s*dt."""
+    """One drive cycle on a uniform grid; states[s] = (i1, i2, vC1, vC2) at s*dt."""
 
     dt: float
-    states: np.ndarray  # (steps_per_cycle * n_cycles + 1, 4)
-    drive: np.ndarray  # (steps_per_cycle * n_cycles,) held over [s*dt, (s+1)*dt)
+    states: np.ndarray  # (steps_per_cycle + 1, 4)
+    drive: np.ndarray  # (steps_per_cycle,) held over [s*dt, (s+1)*dt)
     steps_per_cycle: int
-    n_cycles: int
+    r_ac: float  # the AC load resistance the tank was integrated with
+    spectral_radius: float  # of the one-cycle propagator P
     angle_snap_error_rad: float
-
-    def cycle_states(self, cycle: int) -> np.ndarray:
-        s = cycle * self.steps_per_cycle
-        return self.states[s : s + self.steps_per_cycle + 1]
 
     def to_csv(self, path) -> None:
         """Header ``t_s,v_drive_V,i1_A,i2_A,vC1_V,vC2_V``."""
@@ -165,20 +166,20 @@ def simulate(
     params: WptLinkParams,
     drive,
     steps_per_cycle: int = 4096,
-    n_cycles: int = 60,
     r_ac: float | None = None,
     initial_state: TankState | None = None,
 ) -> TransientTrace:
-    """Integrate the tank over n_cycles of the drive from zero state.
+    """One drive cycle from ``initial_state``, else from the periodic steady state.
 
-    ``r_ac`` defaults to the FHA equivalent load resistance of the DC load.
+    Raises DivergenceError when the cycle propagator or a state is not
+    finite or exceeds 1e9, and, for the steady state, when the propagator's
+    spectral radius is >= 1 (a lossless tank rounds to that). ``r_ac``
+    defaults to the FHA equivalent load of the DC load.
     """
     if steps_per_cycle < 512 or steps_per_cycle & (steps_per_cycle - 1):
         raise ValidationError(
             f"steps_per_cycle: {steps_per_cycle!r} must be a power of two >= 512"
         )
-    if n_cycles < 1:
-        raise ValidationError(f"n_cycles: {n_cycles!r} must be >= 1")
     if r_ac is None:
         r_ac = params.r_ac
     v_cycle, freq, snap_err = _drive_samples(drive, steps_per_cycle)
@@ -196,55 +197,51 @@ def simulate(
     conv = np.empty((steps_per_cycle + 1, 4))
     pow_mats[0] = eye
     conv[0] = 0.0
-    # unstable steps overflow harmlessly here; the propagation loop below
+    # unstable steps overflow harmlessly here; the finiteness check below
     # turns them into DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(steps_per_cycle):
             pow_mats[s + 1] = phi @ pow_mats[s]
             conv[s + 1] = phi @ conv[s] + gamma * v_cycle[s]
-
-        n_steps = steps_per_cycle * n_cycles
-        states = np.empty((n_steps + 1, 4))
-        x = np.zeros(4) if initial_state is None else initial_state.as_array()
-        states[0] = x
-        for c in range(n_cycles):
-            seg = np.einsum("sij,j->si", pow_mats, x) + conv
-            states[c * steps_per_cycle + 1 : (c + 1) * steps_per_cycle + 1] = seg[1:]
-            x = seg[-1]
-            if not np.all(np.isfinite(seg)) or np.max(np.abs(seg)) > 1e9:
-                bad = c * steps_per_cycle + int(
-                    np.argmax(
-                        ~np.isfinite(seg).all(axis=1) | (np.abs(seg).max(axis=1) > 1e9)
-                    )
-                )
-                raise DivergenceError(f"state magnitude exceeded 1e9 at step {bad}")
+    p, q = pow_mats[-1], conv[-1]
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise DivergenceError("one-cycle propagator is not finite")
+    rho = float(np.max(np.abs(np.linalg.eigvals(p))))
+    if initial_state is not None:
+        x = initial_state.as_array()
+    elif rho < 1.0:
+        x = np.linalg.solve(eye - p, q)
+    else:
+        raise DivergenceError(f"spectral radius {rho!r} >= 1: no periodic steady state")
+    states = np.einsum("sij,j->si", pow_mats, x) + conv
+    bad = ~np.isfinite(states).all(axis=1) | (np.abs(states).max(axis=1) > 1e9)
+    if np.any(bad):
+        raise DivergenceError(f"state magnitude exceeded 1e9 at step {int(np.argmax(bad))}")
     return TransientTrace(
         dt=dt,
         states=states,
-        drive=np.tile(v_cycle, n_cycles),
+        drive=v_cycle,
         steps_per_cycle=steps_per_cycle,
-        n_cycles=n_cycles,
+        r_ac=r_ac,
+        spectral_radius=rho,
         angle_snap_error_rad=snap_err,
     )
 
 
 def steady_state_metrics(
-    trace: TransientTrace,
-    params: WptLinkParams,
-    r_ac: float | None = None,
+    trace: TransientTrace, params: WptLinkParams
 ) -> SteadyStateMetrics:
-    """RMS currents, powers, and the sampled ZVS check over the final cycle.
+    """RMS currents, powers, and the sampled ZVS check over the traced cycle.
 
     Cycle means carry an Euler-Maclaurin correction for the current-slope
     jumps at the drive switching edges; without it the trapezoidal mean of
     i^2 is only second-order accurate in the step size.
     """
-    if r_ac is None:
-        r_ac = params.r_ac
+    r_ac = trace.r_ac
     spc = trace.steps_per_cycle
-    last = trace.states[-spc - 1 : -1]  # one full cycle, left-closed
-    i1, i2 = last[:, 0], last[:, 1]
-    drive = trace.drive[-spc:]
+    cycle = trace.states[:-1]  # one full cycle, left-closed
+    i1, i2 = cycle[:, 0], cycle[:, 1]
+    drive = trace.drive
 
     _, b = _system_matrices(params, r_ac)
     prev = np.roll(drive, 1)
@@ -264,7 +261,7 @@ def steady_state_metrics(
     p_out = mean_i2_sq * r_ac
     p_in = float(np.mean(drive * i1))
 
-    # rising drive edges within the last cycle (cyclic); ZVS holds when i1
+    # rising drive edges within the cycle (cyclic); ZVS holds when i1
     # is still negative at the sample immediately preceding each edge
     rising = np.nonzero(drive > prev)[0]
     zvs = bool(len(rising) > 0 and np.all(i1[(rising - 1) % spc] < 0.0))
@@ -277,27 +274,8 @@ def steady_state_metrics(
     )
 
 
-def settle_detector(
-    trace: TransientTrace, r_ac: float, rel_tol: float = 1e-3
-) -> int | None:
-    """Smallest cycle whose output energy changed < rel_tol from the one before.
-
-    Returns None when the trace never settles.
-    """
-    if trace.n_cycles < 3:
-        raise ValidationError(f"n_cycles: {trace.n_cycles} < 3; cannot assess settling")
-    spc = trace.steps_per_cycle
-    i2 = trace.states[:-1, 1].reshape(trace.n_cycles, spc)
-    energy = np.sum(i2**2, axis=1) * r_ac * trace.dt
-    for c in range(1, trace.n_cycles):
-        scale = max(abs(energy[c]), abs(energy[c - 1]), 1e-12)
-        if abs(energy[c] - energy[c - 1]) < rel_tol * scale:
-            return c
-    return None
-
-
 def energy_balance_residual(
-    trace: TransientTrace, params: WptLinkParams, r_ac: float, cycle: int = -1
+    trace: TransientTrace, params: WptLinkParams, r_ac: float
 ) -> float:
     """Relative mismatch between stored-energy change and net injected energy.
 
@@ -306,11 +284,7 @@ def energy_balance_residual(
     the trapezoidal mean of the squared currents. Normalised by the gross
     energy moved during the cycle.
     """
-    if cycle < 0:
-        cycle = trace.n_cycles + cycle
-    spc = trace.steps_per_cycle
-    seg = trace.cycle_states(cycle)
-    drive = trace.drive[cycle * spc : (cycle + 1) * spc]
+    seg, drive = trace.states, trace.drive
     i1, i2 = seg[:, 0], seg[:, 1]
     mid1 = 0.5 * (i1[:-1] + i1[1:])
     sq1 = 0.5 * (i1[:-1] ** 2 + i1[1:] ** 2)

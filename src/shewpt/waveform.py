@@ -86,12 +86,10 @@ class SteppedWaveform:
     fundamental_frequency: float
 
     def __post_init__(self):
-        if not self.step_voltage > 0:
-            raise ValidationError(f"step_voltage: {self.step_voltage!r} must be > 0")
-        if not self.fundamental_frequency > 0:
-            raise ValidationError(
-                f"fundamental_frequency: {self.fundamental_frequency!r} must be > 0"
-            )
+        for name in ("step_voltage", "fundamental_frequency"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValidationError(f"{name}: {v!r} must be finite and > 0")
 
     @property
     def period(self) -> float:
@@ -189,6 +187,8 @@ def interval_mean_samples(w: SteppedWaveform, count: int) -> np.ndarray:
 
 def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192) -> None:
     """One period of pointwise samples, header ``t_s,v_V``."""
+    if samples < 2:
+        raise ValidationError(f"samples: {samples!r} must be >= 2")
     t = np.arange(samples) * (w.period / samples)
     v = w.sample_at(t)
     with open(path, "w", newline="") as fh:

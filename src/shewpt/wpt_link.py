@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,16 +69,25 @@ class WptLinkParams:
 
     @classmethod
     def from_json(cls, path) -> "WptLinkParams":
-        with open(path) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
+            raise ValidationError(f"config: cannot read {path} as JSON: {exc}") from exc
         return cls.from_config(cfg)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "WptLinkParams":
+        if not isinstance(cfg, dict):
+            raise ValidationError("config: must be a JSON object of SI-unit keys")
         required = ("L1_H", "C1_F", "k", "R_load_ohm", "V_dc_V", "f_s_Hz")
         for key in required:
             if key not in cfg:
                 raise ValidationError(f"{key}: missing from link config")
+        for key in required + ("L2_H", "C2_F", "R1_ohm", "R2_ohm", "diode_drop_V"):
+            value = cfg.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{key}: {value!r} is not a number")
         return cls(
             L1=cfg["L1_H"],
             L2=cfg.get("L2_H", cfg["L1_H"]),

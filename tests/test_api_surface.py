@@ -52,7 +52,6 @@ PUBLIC_API = {
         "derivatives",
         "simulate",
         "steady_state_metrics",
-        "settle_detector",
         "energy_balance_residual",
     ],
     "shewpt.reporting": [

@@ -146,12 +146,19 @@ class TestWpt:
             capsys,
             [
                 "--out-dir", str(tmp_path), "wpt", "--mode", "transient",
-                "--steps-per-cycle", "1024", "--cycles", "40",
+                "--steps-per-cycle", "1024",
             ],
         )
         assert code == 0
         assert "[PASS]" in out
         assert (tmp_path / "transient_trace.csv").exists()
+        transient = json.loads((tmp_path / "wpt_report.json").read_text())["outputs"][
+            "transient"
+        ]
+        assert transient["spectral_radius"] == pytest.approx(0.6905984, rel=1e-6)
+        assert transient["angle_snap_error_deg"] == 0.0  # square edges are on the grid
+        # the trapezoid error of the balance grows as h^2: 2.5e-6 at 1024 steps
+        assert transient["energy_balance_residual"] < 1e-5
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -160,6 +167,54 @@ class TestWpt:
             capsys, ["--out-dir", str(tmp_path), "wpt", "--config", str(cfg)]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["synth", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--samples", "0"], "samples"),
+        (["synth", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--samples", "1"], "samples"),
+        (["synth", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--frequency", "inf"], "fundamental_frequency"),
+        (["synth", "--angles-deg", "12,42,86", "--step-voltage", "inf"],
+         "step_voltage"),
+        (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--n-max", "0"], "n_max"),
+        (["spectrum", "--sine-selftest", "--n-max", "0"], "n_max"),
+        (["wpt", "--config", "{missing}"], "config"),
+        (["wpt", "--config", "{not_json}"], "config"),
+        (["wpt", "--config", "{text_number}"], "L1_H"),
+        (["wpt", "--config", "{list}"], "config"),
+        (["solve", "--harmonics", "3,5,7", "--init", "11,41,85",
+          "--max-iter", "-3"], "max_iter"),
+        (["solve", "--harmonics", "3,5,7", "--multistart",
+          "--grid-deg", "0.001"], "grid_step_deg"),
+    ],
+    ids=[
+        "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
+        "synth-step-voltage-inf", "spectrum-n-max-0", "selftest-n-max-0",
+        "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
+        "wpt-config-list", "solve-max-iter-negative", "multistart-over-cost-guard",
+    ],
+)
+def test_outside_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
+    link = {
+        "L1_H": 245e-6, "C1_F": 14e-9, "k": 0.309,
+        "R_load_ohm": 50.0, "V_dc_V": 100.0, "f_s_Hz": 85e3,
+    }
+    (tmp_path / "not_json.json").write_text("{L1_H: 245e-6")
+    (tmp_path / "text_number.json").write_text(json.dumps(dict(link, L1_H="abc")))
+    (tmp_path / "list.json").write_text(json.dumps([link]))
+    paths = {
+        name: str(tmp_path / f"{name}.json")
+        for name in ("missing", "not_json", "text_number", "list")
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    code, _, err = run(capsys, ["--out-dir", str(tmp_path)] + argv)
+    assert code == 2
+    assert err.startswith("validation error: " + field)
 
 
 class TestReproduce:

@@ -371,6 +371,19 @@ class TestMultistart:
         with pytest.raises(ValidationError, match="tol"):
             solve_multistart(targets_3, tol=0.0)
 
+    def test_cost_guard(self, targets_3, monkeypatch):
+        # C(89999, 3), about 1.2e14 seeds: rejected before any seed is iterated
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("a seed was iterated")
+
+        monkeypatch.setattr(she_solver, "_newton_batch", no_iteration)
+        with pytest.raises(ValidationError, match="grid_step_deg.*cost guard"):
+            solve_multistart(targets_3, grid_step_deg=0.001)
+        with pytest.raises(ValidationError, match="grid_step_deg.*cost guard"):
+            solve_multistart(targets_3, grid_step_deg=1e-300)
+        # the largest lattice enumerated so far, (3,5,7,9) at 2 degrees, is admitted
+        assert math.comb(44, 4) == 135751 <= she_solver.MULTISTART_SEED_LIMIT
+
     def test_finer_lattice_finds_no_new_branch(self, targets_3):
         # 6,545 seeds at 2.5 deg reach the same two branches as 680 at 5 deg
         coarse = solve_multistart(targets_3, grid_step_deg=5.0)
