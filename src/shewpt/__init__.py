@@ -31,9 +31,7 @@ from .spectrum import (
 from .transient_sim import (
     SquareDrive,
     SteadyStateMetrics,
-    TankState,
     TransientTrace,
-    derivatives,
     energy_balance_residual,
     simulate,
     steady_state_metrics,
@@ -49,11 +47,8 @@ from .waveform import (
 from .wpt_link import (
     FhaSolution,
     WptLinkParams,
-    drive_fundamental_rms,
-    equivalent_ac_load,
     fha_solve,
     power_scaling_check,
-    resonant_frequency,
 )
 
 __version__ = "0.1.0"

@@ -147,10 +147,6 @@ def cmd_solve(args) -> int:
 
 
 def _build_waveform(args) -> waveform.SteppedWaveform:
-    if args.angles_deg is None:
-        raise ValidationError("angles_deg: required")
-    if args.step_voltage is None:
-        raise ValidationError("step_voltage: required")
     angles = waveform.AngleSet.from_degrees(_parse_floats(args.angles_deg, "angles_deg"))
     return waveform.synth(angles, args.step_voltage, args.frequency)
 
@@ -172,12 +168,6 @@ def cmd_synth(args) -> int:
 
 def cmd_spectrum(args) -> int:
     out_dir = _out_dir(args)
-    if args.sine_selftest:
-        t = np.arange(8192) / 8192.0
-        samples = math.sqrt(2.0) * np.sin(2 * math.pi * t)
-        spec = spec_mod.dft_spectrum(samples, 1.0, args.n_max)
-        print(f"selftest_thd: {spec_mod.thd(spec, args.n_max):.3e}")
-        return EXIT_OK
     w = _build_waveform(args)
     spec = spec_mod.waveform_dft_spectrum(w, args.n_max, samples_per_period=args.samples)
     csv_path = out_dir / "spectrum.csv"
@@ -371,13 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("spectrum", help="harmonic spectrum and THD of a waveform")
-    p.add_argument("--angles-deg")
-    p.add_argument("--step-voltage", type=float)
+    p.add_argument("--angles-deg", required=True)
+    p.add_argument("--step-voltage", type=float, required=True)
     p.add_argument("--frequency", type=float, default=DRIVE_FREQUENCY)
     p.add_argument("--n-max", type=int, default=21)
     p.add_argument("--samples", type=int, default=8192)
     p.add_argument("--eliminated", type=lambda s: _parse_ints(s, "eliminated"), default=None)
-    p.add_argument("--sine-selftest", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wpt", help="predict the coupled-coil link behaviour")

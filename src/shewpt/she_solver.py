@@ -37,6 +37,8 @@ MAX_STEP_HALVINGS = 30
 CONDITION_LIMIT = 1e12
 DEDUP_TOL_DEG = 0.01
 LATTICE_POINT_LIMIT = 1_000_000_000
+# a looser tolerance could accept a start guess far from any root as one
+TOL_MAX = 1e-6
 # about 20 minutes of multistart at 0.12 ms per seed
 MULTISTART_SEED_LIMIT = 10_000_000
 
@@ -123,8 +125,8 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     Returns the last iterates (S, K), their residual norms, the outcome
     codes and the iteration counts (the step at which the seed retired).
     """
-    if not tol > 0:
-        raise ValidationError(f"tol: {tol!r} must be > 0")
+    if not 0 < tol <= TOL_MAX:
+        raise ValidationError(f"tol: {tol!r} must be in (0, {TOL_MAX!r}]")
     if max_iter < 1:
         raise ValidationError(f"max_iter: {max_iter!r} must be >= 1")
     theta = np.array(theta0, dtype=float)
@@ -224,6 +226,8 @@ def _finish(theta: np.ndarray, norm: float, iterations: int):
 def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarray:
     """Interior lattice of (0, 90) degrees, checked before it is built to
     have at most ``limit`` ascending k-tuples (``name`` is the argument)."""
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValidationError(f"{name}: {step_deg!r} must be finite and > 0")
     m = int(math.ceil(90.0 / step_deg)) - 1
     if math.comb(m, k) > limit:
         raise ValidationError(
@@ -314,6 +318,8 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     k = targets.size
     values_deg = _lattice_values(step_deg, k, LATTICE_POINT_LIMIT, "step_deg")
     m = len(values_deg)
+    if m < k:
+        raise ValidationError("step_deg: lattice has no ascending tuples")
     theta = np.radians(values_deg)
     orders = targets.as_array()
     cos_tab = np.cos(orders[:, None] * theta[None, :])  # (K, m)
@@ -347,6 +353,4 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
             best_angles = tuple(theta[list(prefix)]) + tuple(
                 theta[suffix_combos[start + j]]
             )
-    if best_angles is None:
-        raise ValidationError("step_deg: lattice has no ascending tuples")
     return AngleSet(best_angles)

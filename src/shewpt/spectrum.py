@@ -46,7 +46,6 @@ class HarmonicSpectrum:
 
     fundamental_frequency: float
     amplitudes: np.ndarray  # amplitudes[n] is order n; index 0 unused
-    source: str  # "analytic" | "dft"
 
     @property
     def n_max(self) -> int:
@@ -62,8 +61,8 @@ class HarmonicSpectrum:
 class ThdReport:
     thd_total: float  # closed form, full harmonic content
     thd_21: float
-    band_total: int | None  # DFT band used for thd_band; None when unavailable
-    thd_band: float | None
+    band_total: int  # DFT band used for thd_band
+    thd_band: float
     eliminated_orders_max_relative: float
 
 
@@ -85,7 +84,7 @@ def dft_spectrum(samples, f1: float, n_max: int) -> HarmonicSpectrum:
     bins = np.fft.rfft(samples) / len(samples)
     amps = np.zeros(n_max + 1)
     amps[1:] = 2.0 * np.abs(bins[1 : n_max + 1])
-    return HarmonicSpectrum(fundamental_frequency=f1, amplitudes=amps, source="dft")
+    return HarmonicSpectrum(fundamental_frequency=f1, amplitudes=amps)
 
 
 def analytic_spectrum(
@@ -95,7 +94,7 @@ def analytic_spectrum(
     amps = np.zeros(n_max + 1)
     orders = np.arange(1, n_max + 1)
     amps[1:] = np.abs(_harmonic_amplitudes(angle_set.as_array(), step_voltage, orders))
-    return HarmonicSpectrum(fundamental_frequency=f1, amplitudes=amps, source="analytic")
+    return HarmonicSpectrum(fundamental_frequency=f1, amplitudes=amps)
 
 
 def waveform_dft_spectrum(
@@ -119,7 +118,7 @@ def waveform_dft_spectrum(
     amps = np.zeros(n_max + 1)
     amps[1:] = 2.0 * np.abs(bins[1 : n_max + 1] / hold)
     return HarmonicSpectrum(
-        fundamental_frequency=w.fundamental_frequency, amplitudes=amps, source="dft"
+        fundamental_frequency=w.fundamental_frequency, amplitudes=amps
     )
 
 

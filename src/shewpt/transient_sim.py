@@ -33,11 +33,9 @@ from .waveform import SteppedWaveform, _signed_level_count
 from .wpt_link import WptLinkParams, fha_solve  # noqa: F401
 
 __all__ = [
-    "TankState",
     "TransientTrace",
     "SquareDrive",
     "SteadyStateMetrics",
-    "derivatives",
     "simulate",
     "steady_state_metrics",
     "energy_balance_residual",
@@ -56,27 +54,6 @@ class SquareDrive:
             raise ValidationError(f"amplitude: {self.amplitude!r} must be >= 0")
         if not (math.isfinite(self.frequency) and self.frequency > 0):
             raise ValidationError(f"frequency: {self.frequency!r} must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class TankState:
-    i1: float
-    i2: float
-    vC1: float
-    vC2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i1, self.i2, self.vC1, self.vC2])
-
-    def energy(self, params: WptLinkParams) -> float:
-        m = params.mutual
-        return (
-            0.5 * params.L1 * self.i1**2
-            + 0.5 * params.L2 * self.i2**2
-            + m * self.i1 * self.i2
-            + 0.5 * params.C1 * self.vC1**2
-            + 0.5 * params.C2 * self.vC2**2
-        )
 
 
 @dataclass(frozen=True)
@@ -135,14 +112,6 @@ def _system_matrices(params: WptLinkParams, r_ac: float):
     return a, b
 
 
-def derivatives(
-    state: TankState, v_drive: float, params: WptLinkParams, R_ac: float
-) -> np.ndarray:
-    """Exact state derivative (di1, di2, dvC1, dvC2)/dt."""
-    a, b = _system_matrices(params, R_ac)
-    return a @ state.as_array() + b * v_drive
-
-
 def _drive_samples(drive, steps_per_cycle: int):
     """Per-step drive voltages over one cycle, plus the angle snap error."""
     if isinstance(drive, SquareDrive):
@@ -167,10 +136,11 @@ def simulate(
     drive,
     steps_per_cycle: int = 4096,
     r_ac: float | None = None,
-    initial_state: TankState | None = None,
+    initial_state: np.ndarray | None = None,
 ) -> TransientTrace:
     """One drive cycle from ``initial_state``, else from the periodic steady state.
 
+    ``initial_state`` is a state row (i1, i2, vC1, vC2) of four finite values.
     Raises DivergenceError when the cycle propagator or a state is not
     finite or exceeds 1e9, and, for the steady state, when the propagator's
     spectral radius is >= 1 (a lossless tank rounds to that). ``r_ac``
@@ -180,6 +150,10 @@ def simulate(
         raise ValidationError(
             f"steps_per_cycle: {steps_per_cycle!r} must be a power of two >= 512"
         )
+    if initial_state is not None:
+        initial_state = np.asarray(initial_state, dtype=float)
+        if initial_state.shape != (4,) or not np.isfinite(initial_state).all():
+            raise ValidationError("initial_state: must be four finite values")
     if r_ac is None:
         r_ac = params.r_ac
     v_cycle, freq, snap_err = _drive_samples(drive, steps_per_cycle)
@@ -208,7 +182,7 @@ def simulate(
         raise DivergenceError("one-cycle propagator is not finite")
     rho = float(np.max(np.abs(np.linalg.eigvals(p))))
     if initial_state is not None:
-        x = initial_state.as_array()
+        x = initial_state
     elif rho < 1.0:
         x = np.linalg.solve(eye - p, q)
     else:
@@ -282,8 +256,11 @@ def energy_balance_residual(
     The drive is constant within each step, so the input-energy quadrature
     is v_s times the trapezoidal mean of i1 over the step; dissipation uses
     the trapezoidal mean of the squared currents. Normalised by the gross
-    energy moved during the cycle.
+    energy moved during the cycle. ``r_ac`` must be the load the trace was
+    integrated with, ``trace.r_ac``.
     """
+    if r_ac != trace.r_ac:
+        raise ValidationError(f"r_ac: {r_ac!r} is not the trace's load {trace.r_ac!r}")
     seg, drive = trace.states, trace.drive
     i1, i2 = seg[:, 0], seg[:, 1]
     mid1 = 0.5 * (i1[:-1] + i1[1:])
@@ -294,10 +271,17 @@ def energy_balance_residual(
         np.sum(params.R1 * sq1 + (params.R2 + r_ac) * sq2) * trace.dt
     )
 
-    def energy(row):
-        return TankState(*row).energy(params)
+    def stored_energy(x):
+        m = params.mutual
+        return (
+            0.5 * params.L1 * x[0] ** 2
+            + 0.5 * params.L2 * x[1] ** 2
+            + m * x[0] * x[1]
+            + 0.5 * params.C1 * x[2] ** 2
+            + 0.5 * params.C2 * x[3] ** 2
+        )
 
-    de = energy(seg[-1]) - energy(seg[0])
+    de = stored_energy(seg[-1]) - stored_energy(seg[0])
     gross = max(
         abs(e_in),
         e_diss,

@@ -99,17 +99,13 @@ class SteppedWaveform:
     def peak(self) -> float:
         return self.angle_set.levels * self.step_voltage
 
-    def level_at_angle(self, phase):
-        """Signed level count (integer in [-N, N]) at electrical angle(s)."""
-        return _signed_level_count(self.angle_set.as_array(), phase)
-
     def sample_at(self, t):
         """Exact piecewise-constant evaluation at time(s) t."""
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise ValidationError("t: must be finite")
         omega = 2 * math.pi * self.fundamental_frequency
-        out = self.step_voltage * self.level_at_angle(omega * t)
+        out = self.step_voltage * _signed_level_count(self.angle_set.as_array(), omega * t)
         return float(out) if out.ndim == 0 else out
 
     def angle_integral(self, phase):

@@ -20,9 +20,6 @@ from .errors import NonConvergenceError, SingularMatrixError, ValidationError
 __all__ = [
     "WptLinkParams",
     "FhaSolution",
-    "resonant_frequency",
-    "equivalent_ac_load",
-    "drive_fundamental_rms",
     "fha_solve",
     "power_scaling_check",
 ]
@@ -65,7 +62,8 @@ class WptLinkParams:
 
     @property
     def r_ac(self) -> float:
-        return equivalent_ac_load(self.R_load_dc)
+        """FHA resistance of the diode bridge feeding R_load_dc: 8R/pi^2."""
+        return 8.0 * self.R_load_dc / math.pi**2
 
     @classmethod
     def from_json(cls, path) -> "WptLinkParams":
@@ -130,26 +128,6 @@ class FhaSolution:
         }
 
 
-def resonant_frequency(L: float, C: float) -> float:
-    if L <= 0 or C <= 0:
-        raise ValidationError("L, C must be > 0")
-    return 1.0 / (2.0 * math.pi * math.sqrt(L * C))
-
-
-def equivalent_ac_load(R_load_dc: float) -> float:
-    """FHA resistance of a diode bridge feeding a DC resistor: 8R/pi^2."""
-    if R_load_dc <= 0:
-        raise ValidationError(f"R_load_dc: {R_load_dc!r} must be > 0")
-    return 8.0 * R_load_dc / math.pi**2
-
-
-def drive_fundamental_rms(V_dc: float) -> float:
-    """Fundamental RMS of the full-bridge square wave: 4*V_dc/(pi*sqrt(2))."""
-    if V_dc < 0:
-        raise ValidationError(f"V_dc: {V_dc!r} must be >= 0")
-    return 4.0 * V_dc / (math.pi * math.sqrt(2.0))
-
-
 def _mesh_solve(params: WptLinkParams, v1: complex, v2: complex):
     w = 2.0 * math.pi * params.f_s
     m = params.mutual
@@ -167,7 +145,8 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
     Raises NonConvergenceError when the diode-drop fixed point has not
     settled after DIODE_DROP_MAX_ITER mesh solves.
     """
-    v1 = complex(drive_fundamental_rms(params.V_dc))
+    # fundamental RMS of the full-bridge square wave
+    v1 = complex(4.0 * params.V_dc / (math.pi * math.sqrt(2.0)))
     i1, i2 = _mesh_solve(params, v1, 0.0)
     if params.diode_drop > 0:
         # rectifier counter-emf: fundamental of the diode drop, in phase

@@ -88,14 +88,6 @@ class TestSynth:
 
 
 class TestSpectrum:
-    def test_sine_selftest(self, tmp_path, capsys):
-        code, out, _ = run(
-            capsys, ["--out-dir", str(tmp_path), "spectrum", "--sine-selftest"]
-        )
-        assert code == 0
-        value = float(out.split("selftest_thd:")[1].strip())
-        assert value < 1e-9
-
     def test_waveform_spectrum(self, tmp_path, capsys):
         code, out, _ = run(
             capsys,
@@ -113,8 +105,10 @@ class TestSpectrum:
         assert lines[0] == "n,f_Hz,amp_V,rel_to_fund"
 
     def test_missing_angles_exit_2(self, tmp_path, capsys):
-        code, _, err = run(capsys, ["--out-dir", str(tmp_path), "spectrum"])
-        assert code == 2
+        # --angles-deg and --step-voltage are required: argparse exits 2
+        with pytest.raises(SystemExit) as info:
+            main(["--out-dir", str(tmp_path), "spectrum"])
+        assert info.value.code == 2
 
 
 class TestWpt:
@@ -182,7 +176,6 @@ class TestWpt:
          "step_voltage"),
         (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
           "--n-max", "0"], "n_max"),
-        (["spectrum", "--sine-selftest", "--n-max", "0"], "n_max"),
         (["wpt", "--config", "{missing}"], "config"),
         (["wpt", "--config", "{not_json}"], "config"),
         (["wpt", "--config", "{text_number}"], "L1_H"),
@@ -191,12 +184,17 @@ class TestWpt:
           "--max-iter", "-3"], "max_iter"),
         (["solve", "--harmonics", "3,5,7", "--multistart",
           "--grid-deg", "0.001"], "grid_step_deg"),
+        (["solve", "--harmonics", "3,5,7", "--init", "11,41,85",
+          "--tol", "1"], "tol"),
+        (["solve", "--harmonics", "3,5,7", "--init", "11,41,85",
+          "--tol", "inf"], "tol"),
     ],
     ids=[
         "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
-        "synth-step-voltage-inf", "spectrum-n-max-0", "selftest-n-max-0",
+        "synth-step-voltage-inf", "spectrum-n-max-0",
         "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
         "wpt-config-list", "solve-max-iter-negative", "multistart-over-cost-guard",
+        "solve-tol-1", "solve-tol-inf",
     ],
 )
 def test_outside_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):

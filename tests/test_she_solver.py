@@ -223,8 +223,10 @@ class TestNewton:
         )
 
     def test_rejects_bad_tolerance(self, targets_3):
-        with pytest.raises(ValidationError, match="tol"):
-            solve_newton(AngleSet.from_degrees([11, 41, 85]), targets_3, tol=0.0)
+        # tol = 1 would accept the start guess, residual 8.99e-2, as a root
+        for tol in (0.0, 1.0):
+            with pytest.raises(ValidationError, match="tol"):
+                solve_newton(AngleSet.from_degrees([11, 41, 85]), targets_3, tol=tol)
 
     def test_non_convergence_carries_best_iterate(self, targets_3):
         init = AngleSet.from_degrees([11, 41, 85])
@@ -368,8 +370,9 @@ class TestMultistart:
         assert capsys.readouterr() == ("", "")
 
     def test_rejects_bad_tolerance(self, targets_3):
-        with pytest.raises(ValidationError, match="tol"):
-            solve_multistart(targets_3, tol=0.0)
+        for tol in (0.0, 1.0):
+            with pytest.raises(ValidationError, match="tol"):
+                solve_multistart(targets_3, tol=tol)
 
     def test_cost_guard(self, targets_3, monkeypatch):
         # C(89999, 3), about 1.2e14 seeds: rejected before any seed is iterated
@@ -431,6 +434,13 @@ class TestGridOracle:
     def test_rejects_tiny_step(self, targets_3):
         with pytest.raises(ValidationError, match="step_deg"):
             grid_oracle(targets_3, 0.01)
+
+    @pytest.mark.parametrize("orders", [(3,), (3, 5, 7)])
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -1.0, 90.0])
+    def test_rejects_a_step_that_gives_no_lattice(self, orders, step):
+        # each was a bare ValueError or numpy AxisError, not a ValidationError
+        with pytest.raises(ValidationError, match="step_deg"):
+            grid_oracle(HarmonicTargetSet(orders), step)
 
     def test_cost_guard(self):
         orders = HarmonicTargetSet((3, 5, 7, 9, 11))

@@ -8,9 +8,7 @@ from shewpt import (
     AngleSet,
     DivergenceError,
     SquareDrive,
-    TankState,
     ValidationError,
-    derivatives,
     fha_solve,
     simulate,
     steady_state_metrics,
@@ -19,19 +17,39 @@ from shewpt import (
 )
 
 
+def _tank_equations(params, r_ac):
+    # the mesh equations of the module docstring, written out apart from it:
+    # dx/dt = a @ x + b * v_drive for x = (i1, i2, vC1, vC2)
+    m = params.mutual
+    l_inv = np.linalg.inv([[params.L1, m], [m, params.L2]])
+    a = np.zeros((4, 4))
+    a[0:2, 0:2] = -l_inv * [params.R1, params.R2 + r_ac]
+    a[0:2, 2:4] = -l_inv
+    a[2, 0] = 1.0 / params.C1
+    a[3, 1] = 1.0 / params.C2
+    b = np.array([l_inv[0, 0], l_inv[1, 0], 0.0, 0.0])
+    return a, b
+
+
+def _derivative(x, v_drive, params, r_ac):
+    a, b = _tank_equations(params, r_ac)
+    return a @ x + b * v_drive
+
+
 class TestDerivatives:
+    # checks of the reference equations above, which the RK4 test relies on
     def test_zero_state_zero_drive(self, table_params):
-        d = derivatives(TankState(0, 0, 0, 0), 0.0, table_params, 40.0)
+        d = _derivative(np.zeros(4), 0.0, table_params, 40.0)
         np.testing.assert_array_equal(d, np.zeros(4))
 
     def test_nearly_uncoupled_primary(self, table_params):
         p = replace(table_params, k=1e-12)
-        d = derivatives(TankState(0, 0, 0, 0), 100.0, p, 40.0)
+        d = _derivative(np.zeros(4), 100.0, p, 40.0)
         assert d[0] == pytest.approx(100.0 / p.L1, rel=1e-9)
         assert abs(d[1]) < 1e-3  # coupling path carries almost nothing
 
     def test_capacitor_equations(self, table_params):
-        d = derivatives(TankState(2.0, -1.5, 30.0, 10.0), 0.0, table_params, 40.0)
+        d = _derivative(np.array([2.0, -1.5, 30.0, 10.0]), 0.0, table_params, 40.0)
         assert d[2] == pytest.approx(2.0 / table_params.C1, rel=1e-12)
         assert d[3] == pytest.approx(-1.5 / table_params.C2, rel=1e-12)
 
@@ -39,21 +57,17 @@ class TestDerivatives:
         # dE/dt must equal injected power minus dissipation
         p = replace(table_params, R1=0.4, R2=0.7)
         r_ac = 40.5
-        state = TankState(3.1, -2.2, 120.0, -45.0)
+        i1, i2, vc1, vc2 = 3.1, -2.2, 120.0, -45.0
         v = 250.0
-        d = derivatives(state, v, p, r_ac)
+        d = _derivative(np.array([i1, i2, vc1, vc2]), v, p, r_ac)
         m = p.mutual
         de_dt = (
-            (p.L1 * state.i1 + m * state.i2) * d[0]
-            + (p.L2 * state.i2 + m * state.i1) * d[1]
-            + p.C1 * state.vC1 * d[2]
-            + p.C2 * state.vC2 * d[3]
+            (p.L1 * i1 + m * i2) * d[0]
+            + (p.L2 * i2 + m * i1) * d[1]
+            + p.C1 * vc1 * d[2]
+            + p.C2 * vc2 * d[3]
         )
-        expected = (
-            v * state.i1
-            - p.R1 * state.i1**2
-            - (p.R2 + r_ac) * state.i2**2
-        )
+        expected = v * i1 - p.R1 * i1**2 - (p.R2 + r_ac) * i2**2
         assert de_dt == pytest.approx(expected, rel=1e-12)
 
 
@@ -66,34 +80,38 @@ class TestSimulate:
             simulate(table_params, drive, steps_per_cycle=256)
         with pytest.raises(ValidationError, match="drive"):
             simulate(table_params, object())
+        for initial in ([0.0, 0.0, 0.0], [0.0, 0.0, math.nan, 0.0]):
+            with pytest.raises(ValidationError, match="initial_state"):
+                simulate(table_params, drive, initial_state=initial)
 
     def test_zero_drive_stays_zero(self, table_params):
         trace = simulate(table_params, SquareDrive(0.0, 85e3), steps_per_cycle=512)
         assert np.max(np.abs(trace.states)) == 0.0
 
     def test_matches_hand_coded_rk4_step(self, table_params):
-        # one integrator step against four explicit derivative evaluations
+        # every step of a returned cycle is one explicit RK4 step of the
+        # equations above, the drive held over the step; the steady-state
+        # cycle visits enough of the state space to pin all of Phi and Gamma
         drive = SquareDrive(100.0, 85e3)
-        spc = 512
-        trace = simulate(table_params, drive, steps_per_cycle=spc)
-        dt = trace.dt
-        r_ac = table_params.r_ac
-        x = np.array([0.7, -0.3, 25.0, -8.0])
-        v = 100.0
+        a, b = _tank_equations(table_params, table_params.r_ac)
+        for initial in (None, np.array([0.7, -0.3, 25.0, -8.0])):
+            trace = simulate(
+                table_params, drive, steps_per_cycle=512, initial_state=initial
+            )
+            dt = trace.dt
+            x = trace.states[:-1].T  # (4, 512): the start of each step
 
-        def f(y):
-            return derivatives(TankState(*y), v, table_params, r_ac)
+            def f(y):
+                return a @ y + b[:, None] * trace.drive
 
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        manual = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-        restart = simulate(
-            table_params, drive, steps_per_cycle=spc, initial_state=TankState(*x)
-        )
-        np.testing.assert_allclose(restart.states[1], manual, rtol=1e-12, atol=1e-12)
+            k1 = f(x)
+            k2 = f(x + 0.5 * dt * k1)
+            k3 = f(x + 0.5 * dt * k2)
+            k4 = f(x + dt * k3)
+            manual = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            np.testing.assert_allclose(
+                trace.states[1:], manual.T, rtol=1e-12, atol=1e-12
+            )
 
     def test_divergence_detected(self, table_params):
         # absurdly low switching frequency makes the step explicit-unstable
@@ -103,18 +121,30 @@ class TestSimulate:
 
     def test_lossless_energy_conservation(self, table_params):
         # eleven free cycles, each started from the last state of the one before
-        state = TankState(2.0, -1.0, 100.0, 40.0)
-        e = [state.energy(table_params)]
+        p = table_params
+
+        def energy(x):
+            i1, i2, vc1, vc2 = x
+            return (
+                0.5 * p.L1 * i1**2
+                + 0.5 * p.L2 * i2**2
+                + p.mutual * i1 * i2
+                + 0.5 * p.C1 * vc1**2
+                + 0.5 * p.C2 * vc2**2
+            )
+
+        state = np.array([2.0, -1.0, 100.0, 40.0])
+        e = [energy(state)]
         for _ in range(11):
             trace = simulate(
-                table_params,
+                p,
                 SquareDrive(0.0, 85e3),
                 steps_per_cycle=2048,
                 r_ac=0.0,
                 initial_state=state,
             )
-            state = TankState(*trace.states[-1])
-            e.append(state.energy(table_params))
+            state = trace.states[-1]
+            e.append(energy(state))
         e = np.array(e)
         drift = np.abs(e - e[0]) / e[0]
         assert np.max(drift) < 1e-6
@@ -205,6 +235,12 @@ class TestSteadyState:
         res = energy_balance_residual(table_trace, table_params, table_params.r_ac)
         assert res < 1e-6
 
+    def test_energy_balance_rejects_another_load(self, table_params, table_trace):
+        # a load other than the one the trace was integrated with would give
+        # a residual of 0.5 for a correct trace
+        with pytest.raises(ValidationError, match="r_ac"):
+            energy_balance_residual(table_trace, table_params, 2 * table_trace.r_ac)
+
     def test_i1_fundamental_matches_fha(self, table_params, table_trace):
         spc = table_trace.steps_per_cycle
         i1 = table_trace.states[-spc - 1 : -1, 0]
@@ -214,18 +250,6 @@ class TestSteadyState:
         )
         fha = fha_solve(table_params)
         assert amp / math.sqrt(2) == pytest.approx(abs(fha.I1), rel=0.02)
-
-
-def _state_matrix(params, r_ac):
-    # the mesh equations of the module docstring, written out apart from it
-    m = params.mutual
-    l_inv = np.linalg.inv([[params.L1, m], [m, params.L2]])
-    a = np.zeros((4, 4))
-    a[0:2, 0:2] = -l_inv * [params.R1, params.R2 + r_ac]
-    a[0:2, 2:4] = -l_inv
-    a[2, 0] = 1.0 / params.C1
-    a[3, 1] = 1.0 / params.C2
-    return a
 
 
 class TestPeriodicSteadyState:
@@ -246,7 +270,7 @@ class TestPeriodicSteadyState:
         # exp(max Re lambda(A) T), which RK4 at 4096 steps matches closely
         p = replace(table_params, R_load_dc=r_load)
         exact = math.exp(
-            np.max(np.linalg.eigvals(_state_matrix(p, p.r_ac)).real) / p.f_s
+            np.max(np.linalg.eigvals(_tank_equations(p, p.r_ac)[0]).real) / p.f_s
         )
         assert exact == pytest.approx(rho, rel=1e-6)
         trace = simulate(p, SquareDrive(100.0, 85e3))

@@ -10,12 +10,18 @@ from shewpt import (
     SingularMatrixError,
     ValidationError,
     WptLinkParams,
-    drive_fundamental_rms,
-    equivalent_ac_load,
     fha_solve,
     power_scaling_check,
-    resonant_frequency,
 )
+
+
+def _square_fundamental_rms(v_dc):
+    """Fundamental RMS of the full-bridge square wave of amplitude v_dc."""
+    return 4.0 * v_dc / (math.pi * math.sqrt(2.0))
+
+
+def _resonant_frequency(inductance, capacitance):
+    return 1.0 / (2.0 * math.pi * math.sqrt(inductance * capacitance))
 
 
 def scalar_oracle_p_out(params):
@@ -25,7 +31,7 @@ def scalar_oracle_p_out(params):
     z11 = params.R1 + 1j * (w * params.L1 - 1 / (w * params.C1))
     z22 = params.R2 + params.r_ac + 1j * (w * params.L2 - 1 / (w * params.C2))
     z_ref = (w * m) ** 2 / z22
-    i1 = drive_fundamental_rms(params.V_dc) / (z11 + z_ref)
+    i1 = _square_fundamental_rms(params.V_dc) / (z11 + z_ref)
     i2 = 1j * w * m * i1 / z22
     return abs(i2) ** 2 * params.r_ac
 
@@ -45,31 +51,15 @@ class TestHelpers:
             replace(table_params, k=1.0)
         assert replace(table_params, k=0.0).mutual == 0.0
 
-    def test_resonant_frequency_value(self):
-        assert resonant_frequency(245e-6, 14e-9) == pytest.approx(85935.59, abs=0.01)
+    def test_equivalent_ac_load(self, table_params):
+        assert table_params.r_ac == pytest.approx(40.5285, abs=1e-4)
+        unit = replace(table_params, R_load_dc=math.pi**2 / 8)
+        assert unit.r_ac == pytest.approx(1.0, rel=1e-12)
 
-    def test_resonant_frequency_inverse(self):
-        # capacitance that tunes 245 uH exactly to the switching frequency
-        c = 1.0 / (245e-6 * (2 * math.pi * 85e3) ** 2)
-        assert c == pytest.approx(14.31e-9, abs=0.01e-9)
-        assert resonant_frequency(245e-6, c) == pytest.approx(85e3, rel=1e-12)
-
-    def test_equivalent_ac_load(self):
-        assert equivalent_ac_load(50.0) == pytest.approx(40.5285, abs=1e-4)
-        assert equivalent_ac_load(math.pi**2 / 8) == pytest.approx(1.0, rel=1e-12)
-
-    def test_drive_fundamental_rms(self):
-        assert drive_fundamental_rms(100.0) == pytest.approx(90.0316, abs=1e-4)
-        assert drive_fundamental_rms(150.0) == pytest.approx(135.0474, abs=1e-4)
-        assert drive_fundamental_rms(0.0) == 0.0
-
-    def test_helper_validation(self):
-        with pytest.raises(ValidationError):
-            resonant_frequency(0.0, 14e-9)
-        with pytest.raises(ValidationError):
-            equivalent_ac_load(0.0)
-        with pytest.raises(ValidationError):
-            drive_fundamental_rms(-1.0)
+    def test_drive_fundamental_rms(self, table_params):
+        assert abs(fha_solve(table_params).V1) == pytest.approx(90.0316, abs=1e-4)
+        high = replace(table_params, V_dc=150.0)
+        assert abs(fha_solve(high).V1) == pytest.approx(135.0474, abs=1e-4)
 
 
 class TestParams:
@@ -88,6 +78,16 @@ class TestParams:
             WptLinkParams(
                 L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3,
                 R_load_dc=50.0, V_dc=100.0, f_s=85e3, R1=-0.1,
+            )
+        with pytest.raises(ValidationError, match="R_load_dc"):
+            WptLinkParams(
+                L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3,
+                R_load_dc=0.0, V_dc=100.0, f_s=85e3,
+            )
+        with pytest.raises(ValidationError, match="V_dc"):
+            WptLinkParams(
+                L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3,
+                R_load_dc=50.0, V_dc=-1.0, f_s=85e3,
             )
 
     def test_from_config_defaults_secondary(self):
@@ -165,10 +165,10 @@ class TestFhaSolve:
         assert abs(sol.I2) == pytest.approx(0.0, abs=1e-20)
 
     def test_load_independent_secondary_current_at_resonance(self, table_params):
-        f0 = resonant_frequency(table_params.L1, table_params.C1)
+        f0 = _resonant_frequency(table_params.L1, table_params.C1)
         tuned = replace(table_params, f_s=f0)
         w = 2 * math.pi * f0
-        v1 = drive_fundamental_rms(tuned.V_dc)
+        v1 = _square_fundamental_rms(tuned.V_dc)
         expected = v1 / (w * tuned.mutual)
         for load in (25.0, 50.0, 200.0):
             sol = fha_solve(replace(tuned, R_load_dc=load))
@@ -195,7 +195,7 @@ class TestFhaSolve:
         # lossless tank driven exactly at the lower coupled-mode frequency
         # f0 / sqrt(1 + k), where the mesh determinant vanishes
         k = 0.309
-        f_split = resonant_frequency(245e-6, 14e-9) / math.sqrt(1.0 + k)
+        f_split = _resonant_frequency(245e-6, 14e-9) / math.sqrt(1.0 + k)
         p = WptLinkParams(
             L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=k,
             R_load_dc=1e-12 * math.pi**2 / 8, V_dc=100.0, f_s=f_split,
