@@ -225,10 +225,15 @@ def _finish(theta: np.ndarray, norm: float, iterations: int):
 
 def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarray:
     """Interior lattice of (0, 90) degrees, checked before it is built to
-    have at most ``limit`` ascending k-tuples (``name`` is the argument)."""
+    have at least one and at most ``limit`` ascending k-tuples (``name`` is
+    the argument)."""
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValidationError(f"{name}: {step_deg!r} must be finite and > 0")
     m = int(math.ceil(90.0 / step_deg)) - 1
+    if m < k:
+        raise ValidationError(
+            f"{name}: lattice of {m} values has no ascending {k}-tuples"
+        )
     if math.comb(m, k) > limit:
         raise ValidationError(
             f"{name}: lattice of {math.comb(m, k)} points exceeds the cost guard"
@@ -318,8 +323,6 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     k = targets.size
     values_deg = _lattice_values(step_deg, k, LATTICE_POINT_LIMIT, "step_deg")
     m = len(values_deg)
-    if m < k:
-        raise ValidationError("step_deg: lattice has no ascending tuples")
     theta = np.radians(values_deg)
     orders = targets.as_array()
     cos_tab = np.cos(orders[:, None] * theta[None, :])  # (K, m)

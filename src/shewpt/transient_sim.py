@@ -9,8 +9,12 @@ driven by the inverter square or staircase voltage, held constant over
 each integration step (switching angles snapped to the step grid). The
 integrator is classical fourth-order Runge-Kutta; because the system is
 linear with piecewise-constant drive, the RK4 update collapses to the
-exact affine map x -> Phi x + Gamma v, which is precomputed once and
-applied per step.
+exact affine map x -> Phi x + Gamma v, which is precomputed once. The
+within-cycle propagators x_s = Phi^s x_0 + c_s are then built in log2(N)
+batched passes rather than N sequential steps: the powers Phi^s by
+doubling, and the offsets c_s by an inclusive Hillis-Steele scan of the
+affine step maps (Hillis & Steele, "Data parallel algorithms", CACM 29(12),
+1986; Blelloch, "Prefix sums and their applications", CMU-CS-90-190, 1990).
 
 Over one cycle the tank is then the affine map x -> P x + q; its periodic
 steady state is the fixed point x* = (I - P)^-1 q (shooting for a linear
@@ -50,8 +54,10 @@ class SquareDrive:
     frequency: float
 
     def __post_init__(self):
-        if not self.amplitude >= 0:
-            raise ValidationError(f"amplitude: {self.amplitude!r} must be >= 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValidationError(
+                f"amplitude: {self.amplitude!r} must be finite and >= 0"
+            )
         if not (math.isfinite(self.frequency) and self.frequency > 0):
             raise ValidationError(f"frequency: {self.frequency!r} must be finite and > 0")
 
@@ -131,6 +137,11 @@ def _drive_samples(drive, steps_per_cycle: int):
     raise ValidationError(f"drive: unsupported type {type(drive).__name__}")
 
 
+# Longest cycle simulate accepts: its (steps + 1, 4, 4) float64 propagator
+# stack is 128 MiB at 2**20 steps.
+MAX_STEPS_PER_CYCLE = 2**20
+
+
 def simulate(
     params: WptLinkParams,
     drive,
@@ -146,9 +157,13 @@ def simulate(
     spectral radius is >= 1 (a lossless tank rounds to that). ``r_ac``
     defaults to the FHA equivalent load of the DC load.
     """
-    if steps_per_cycle < 512 or steps_per_cycle & (steps_per_cycle - 1):
+    if (
+        not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
+        or steps_per_cycle & (steps_per_cycle - 1)
+    ):
         raise ValidationError(
-            f"steps_per_cycle: {steps_per_cycle!r} must be a power of two >= 512"
+            f"steps_per_cycle: {steps_per_cycle!r} must be a power of two "
+            f"in [512, {MAX_STEPS_PER_CYCLE}]"
         )
     if initial_state is not None:
         initial_state = np.asarray(initial_state, dtype=float)
@@ -170,13 +185,19 @@ def simulate(
     pow_mats = np.empty((steps_per_cycle + 1, 4, 4))
     conv = np.empty((steps_per_cycle + 1, 4))
     pow_mats[0] = eye
+    pow_mats[1] = phi
     conv[0] = 0.0
+    conv[1:] = gamma * v_cycle[:, None]
     # unstable steps overflow harmlessly here; the finiteness check below
     # turns them into DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps_per_cycle):
-            pow_mats[s + 1] = phi @ pow_mats[s]
-            conv[s + 1] = phi @ conv[s] + gamma * v_cycle[s]
+        m = 1
+        while m < steps_per_cycle:
+            # pow[1 : m + 1] is filled, and conv[s] sums the last min(s, m)
+            # steps' offsets; both passes double that span
+            pow_mats[m + 1 : 2 * m + 1] = pow_mats[m] @ pow_mats[1 : m + 1]
+            conv[m + 1 :] += conv[1:-m] @ pow_mats[m].T
+            m *= 2
     p, q = pow_mats[-1], conv[-1]
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise DivergenceError("one-cycle propagator is not finite")

@@ -1,8 +1,11 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shewpt import (
     AngleSet,
@@ -15,6 +18,7 @@ from shewpt import (
     energy_balance_residual,
     synth,
 )
+from shewpt import transient_sim
 
 
 def _tank_equations(params, r_ac):
@@ -29,6 +33,50 @@ def _tank_equations(params, r_ac):
     a[3, 1] = 1.0 / params.C2
     b = np.array([l_inv[0, 0], l_inv[1, 0], 0.0, 0.0])
     return a, b
+
+
+def _sequential_cycle(params, drive_samples, dt, r_ac):
+    # the per-step loop that built the within-cycle propagators before the
+    # log-depth scan: x_s = pow[s] @ x_0 + conv[s], one RK4 step at a time;
+    # returns the periodic steady-state cycle and the spectral radius of P
+    a, b = _tank_equations(params, r_ac)
+    ah = a * dt
+    ah2 = ah @ ah
+    eye = np.eye(4)
+    phi = eye + ah + ah2 / 2 + ah2 @ ah / 6 + ah2 @ ah2 / 24
+    gamma = (dt * (eye + ah / 2 + ah2 / 6 + ah2 @ ah / 24)) @ b
+    n = len(drive_samples)
+    pow_mats = np.empty((n + 1, 4, 4))
+    conv = np.empty((n + 1, 4))
+    pow_mats[0] = eye
+    conv[0] = 0.0
+    for s in range(n):
+        pow_mats[s + 1] = phi @ pow_mats[s]
+        conv[s + 1] = phi @ conv[s] + gamma * drive_samples[s]
+    p, q = pow_mats[-1], conv[-1]
+    rho = float(np.max(np.abs(np.linalg.eigvals(p))))
+    x = np.linalg.solve(eye - p, q)
+    return np.einsum("sij,j->si", pow_mats, x) + conv, rho
+
+
+def _drive(params, staircase, angle_set):
+    # the square wave of the full bridge, or a staircase of the same peak
+    if staircase:
+        return synth(angle_set, params.V_dc / 3, params.f_s)
+    return SquareDrive(params.V_dc, params.f_s)
+
+
+def _assert_matches_sequential_loop(params, drive, steps_per_cycle):
+    # the scan reassociates the sums of the loop; 1e-11 relative was fixed
+    # before it replaced the loop (states relative to each column's peak)
+    trace = simulate(params, drive, steps_per_cycle=steps_per_cycle)
+    states, rho = _sequential_cycle(params, trace.drive, trace.dt, trace.r_ac)
+    peak = np.max(np.abs(states), axis=0)
+    assert np.max(np.abs(trace.states - states) / peak) <= 1e-11
+    assert trace.spectral_radius == pytest.approx(rho, rel=1e-11, abs=0)
+    p_out = steady_state_metrics(trace, params).P_out
+    p_ref = steady_state_metrics(replace(trace, states=states), params).P_out
+    assert p_out == pytest.approx(p_ref, rel=1e-11, abs=0)
 
 
 def _derivative(x, v_drive, params, r_ac):
@@ -83,6 +131,55 @@ class TestSimulate:
         for initial in ([0.0, 0.0, 0.0], [0.0, 0.0, math.nan, 0.0]):
             with pytest.raises(ValidationError, match="initial_state"):
                 simulate(table_params, drive, initial_state=initial)
+
+    def test_square_drive_rejects_a_non_finite_amplitude(self):
+        # an infinite amplitude was accepted and surfaced from simulate as a
+        # propagator that is not finite
+        for amplitude in (math.inf, -math.inf, math.nan, -1.0):
+            with pytest.raises(ValidationError, match="amplitude"):
+                SquareDrive(amplitude, 85e3)
+        assert SquareDrive(0.0, 85e3).amplitude == 0.0
+
+    def test_cost_guard(self, table_params, monkeypatch):
+        # 2**20 steps is a 128 MiB propagator stack; a longer cycle is
+        # rejected before any array is built
+        class Admitted(Exception):
+            pass
+
+        def no_samples(*args):
+            raise Admitted
+
+        monkeypatch.setattr(transient_sim, "_drive_samples", no_samples)
+        drive = SquareDrive(100.0, 85e3)
+        for spc in (2**21, 2**25):
+            with pytest.raises(ValidationError, match="steps_per_cycle"):
+                simulate(table_params, drive, steps_per_cycle=spc)
+        with pytest.raises(Admitted):
+            simulate(table_params, drive, steps_per_cycle=2**20)
+
+    @pytest.mark.parametrize("spc", [512, 4096])
+    def test_matches_the_sequential_loop(self, table_params, solution_3, spc):
+        # 50 and 2000 ohm, 100 and 150 V, square and 3-angle staircase drive
+        for r_load, v_dc, staircase in itertools.product(
+            (50.0, 2000.0), (100.0, 150.0), (False, True)
+        ):
+            p = replace(table_params, R_load_dc=r_load, V_dc=v_dc)
+            drive = _drive(p, staircase, solution_3.angle_set)
+            _assert_matches_sequential_loop(p, drive, spc)
+
+    @given(
+        k=st.floats(0.05, 0.6),
+        r_load=st.floats(5.0, 5000.0),
+        staircase=st.booleans(),
+        spc=st.sampled_from([512, 1024, 8192]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_sequential_loop_on_random_links(
+        self, table_params, solution_3, k, r_load, staircase, spc
+    ):
+        p = replace(table_params, k=k, R_load_dc=r_load)
+        drive = _drive(p, staircase, solution_3.angle_set)
+        _assert_matches_sequential_loop(p, drive, spc)
 
     def test_zero_drive_stays_zero(self, table_params):
         trace = simulate(table_params, SquareDrive(0.0, 85e3), steps_per_cycle=512)
