@@ -41,6 +41,9 @@ LATTICE_POINT_LIMIT = 1_000_000_000
 TOL_MAX = 1e-6
 # about 20 minutes of multistart at 0.12 ms per seed
 MULTISTART_SEED_LIMIT = 10_000_000
+# scores per grid_oracle array (512 KiB), or one prefix's row where that is
+# longer: the 1 degree 4-level lattices never split, finer ones do
+ORACLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,13 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     as STALLED otherwise; so does a seed whose norm is still at or above
     tol after max_iter steps.
 
+    The condition guard is screened: cond_2 <= cond_F because the spectral
+    norm is at most the Frobenius norm (Golub & Van Loan, Matrix
+    Computations, sec. 2.3), and cond_F takes one batched inverse where
+    cond_2 takes an SVD. Only the seeds with cond_F above CONDITION_LIMIT / 2
+    get the exact cond_2, so every retire decision is the one cond_2 alone
+    makes; the factor 2 covers the rounding of both near the limit.
+
     Returns the last iterates (S, K), their residual norms, the outcome
     codes and the iteration counts (the step at which the seed retired).
     """
@@ -143,7 +153,10 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
         active = active[~done]
         jac = _jacobian_raw(theta[active], orders)
         singular = ~np.isfinite(jac).all(axis=(1, 2))
-        singular[~singular] = np.linalg.cond(jac[~singular]) > CONDITION_LIMIT
+        finite = np.flatnonzero(~singular)
+        near = finite[np.linalg.cond(jac[finite], "fro") > CONDITION_LIMIT / 2]
+        if len(near):
+            singular[near] = np.linalg.cond(jac[near]) > CONDITION_LIMIT
         status[active[singular]] = SINGULAR
         iters[active[singular]] = it
         active, jac = active[~singular], jac[~singular]
@@ -242,10 +255,11 @@ def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarra
 
 
 # Seeds per _newton_batch call in solve_multistart. A chunk's working set is
-# a few (S, K, K) float64 stacks (the residual and Jacobian terms, the copy
-# the condition check decomposes: 512 KiB each at S = 4096, K = 4) plus
-# (S, K) iterates and steps. Its peak, about 3 MiB at K = 4 (tracemalloc,
-# 4-level targets on the 2.5 degree lattice), does not grow with the lattice.
+# a few (S, K, K) float64 stacks (the residual and Jacobian terms and the
+# inverse the condition screen takes: 512 KiB each at S = 4096, K = 4; only
+# the few seeds near the limit are decomposed) plus (S, K) iterates and
+# steps. Its peak, about 3 MiB at K = 4 (tracemalloc, 4-level targets on the
+# 2.5 degree lattice), does not grow with the lattice.
 MULTISTART_CHUNK = 4096
 
 
@@ -283,21 +297,26 @@ def solve_multistart(
         seeds = values[np.array(chunk, dtype=np.intp)]
         theta, norm, status, iters = _newton_batch(seeds, orders, tol, max_iter)
         counts += np.bincount(status, minlength=4)
-        for i in np.flatnonzero(status == CONVERGED):
-            try:
-                sol = _finish(theta[i], float(norm[i]), int(iters[i]))
-            except ValidationError:
-                invalid += 1
-                continue
-            root = sol.angle_set.as_array()
-            if root[0] < dedup or root[-1] > math.pi / 2 - dedup:
-                on_bounds += 1
-                continue
-            if any(
-                np.max(np.abs(root - s.angle_set.as_array())) < dedup for s in found
-            ):
-                continue
-            found.append(sol)
+        rows = np.flatnonzero(status == CONVERGED)
+        roots = np.sort(theta[rows], axis=1)
+        # the rules of AngleSet: finite, inside (0, pi/2), strictly increasing
+        valid = (
+            np.isfinite(roots) & (roots > 0.0) & (roots < math.pi / 2)
+        ).all(axis=1) & (np.diff(roots, axis=1) > 0).all(axis=1)
+        bounded = (roots[:, 0] < dedup) | (roots[:, -1] > math.pi / 2 - dedup)
+        invalid += int(np.count_nonzero(~valid))
+        on_bounds += int(np.count_nonzero(valid & bounded))
+        keep = valid & ~bounded
+        for sol in found:
+            keep &= np.abs(roots - sol.angle_set.as_array()).max(axis=1) >= dedup
+        rows, roots = rows[keep], roots[keep]
+        # the first remaining root in lattice order is new; it hides every
+        # root within the tolerance of it
+        while len(rows):
+            i = rows[0]
+            found.append(_finish(theta[i], float(norm[i]), int(iters[i])))
+            apart = np.abs(roots - roots[0]).max(axis=1) >= dedup
+            rows, roots = rows[apart], roots[apart]
     # imported here: at module level logging adds 5-10 ms to every import of
     # shewpt, and most commands never run a multistart
     import logging
@@ -332,28 +351,34 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
         best = int(np.argmin(scores))
         return AngleSet((theta[best],))
 
-    # meet in the middle: enumerate prefixes in python, suffixes vectorized
+    # meet in the middle: the prefixes that end at one index share the block
+    # of suffixes that start after it, so each group is scored as one
+    # (prefixes, suffixes) array, ORACLE_BLOCK scores at a time
     p = k // 2
     s = k - p
     suffix_combos = np.array(list(combinations(range(m), s)), dtype=np.intp)
     suffix_sums = cos_tab[:, suffix_combos].sum(axis=2)  # (K, n_suffix)
     # combinations() is lexicographic, so first indices are non-decreasing
-    suffix_first = suffix_combos[:, 0]
-    offsets = np.searchsorted(suffix_first, np.arange(m + 1))
+    offsets = np.searchsorted(suffix_combos[:, 0], np.arange(m + 1))
+    prefix_combos = np.array(list(combinations(range(m), p)), dtype=np.intp)
+    # for p >= 3 lexicographic prefixes are not sorted by their last index;
+    # a stable sort keeps each group in lexicographic order
+    prefix_combos = prefix_combos[np.argsort(prefix_combos[:, -1], kind="stable")]
+    prefix_sums = cos_tab[:, prefix_combos].sum(axis=2)  # (K, n_prefix)
+    groups = np.searchsorted(prefix_combos[:, -1], np.arange(m + 1))
 
-    best_score = math.inf
-    best_angles = None
-    for prefix in combinations(range(m), p):
-        start = offsets[prefix[-1] + 1]
-        if start >= suffix_sums.shape[1]:
-            continue
-        partial = cos_tab[:, list(prefix)].sum(axis=1)
-        totals = partial[:, None] + suffix_sums[:, start:]
-        scores = np.einsum("kj,kj->j", totals, totals)
-        j = int(np.argmin(scores))
-        if scores[j] < best_score:
-            best_score = float(scores[j])
-            best_angles = tuple(theta[list(prefix)]) + tuple(
-                theta[suffix_combos[start + j]]
-            )
-    return AngleSet(best_angles)
+    best = (math.inf, ())
+    for last in range(p - 1, m - s):
+        start = offsets[last + 1]
+        suffix = suffix_sums[:, start:]
+        rows = max(1, ORACLE_BLOCK // suffix.shape[1])
+        for lo in range(groups[last], groups[last + 1], rows):
+            partial = prefix_sums[:, lo : min(lo + rows, groups[last + 1])]
+            scores = (partial[0][:, None] + suffix[0]) ** 2
+            for order in range(1, k):
+                scores += (partial[order][:, None] + suffix[order]) ** 2
+            # row-major argmin: the lexicographically first tuple of this block
+            i, j = divmod(int(np.argmin(scores)), scores.shape[1])
+            tie_key = tuple(prefix_combos[lo + i]) + tuple(suffix_combos[start + j])
+            best = min(best, (float(scores[i, j]), tie_key))
+    return AngleSet(tuple(theta[list(best[1])]))

@@ -309,5 +309,5 @@ def energy_balance_residual(
         float(np.sum(np.abs(drive * mid1)) * trace.dt),
         1e-300,
     )
-    return abs(de - (e_in - e_diss)) / gross
+    return float(abs(de - (e_in - e_diss)) / gross)
 

@@ -154,6 +154,19 @@ class TestWpt:
         # the trapezoid error of the balance grows as h^2: 2.5e-6 at 1024 steps
         assert transient["energy_balance_residual"] < 1e-5
 
+    def test_transient_stdout_prints_plain_numbers(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys,
+            [
+                "--out-dir", str(tmp_path), "wpt", "--mode", "transient",
+                "--steps-per-cycle", "512",
+            ],
+        )
+        assert code == 0
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("  transient:")]
+        assert "energy_balance_residual" in line
+        assert "np.float64" not in line
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"L1_H": 245e-6}))

@@ -114,6 +114,31 @@ def _reference_outcomes(orders):
             for seed in _lattice_seeds(len(orders))]
 
 
+@functools.cache
+def _seed_loop_branches(orders):
+    """The batch kernel over the whole 5 deg lattice, then the seed-by-seed
+    dedup loop: a valid root, off the bounds, the first found kept."""
+    dedup = 0.01 * DEG
+    seeds = np.array(_lattice_seeds(len(orders)))
+    theta, norm, status, iters = she_solver._newton_batch(
+        seeds, np.asarray(orders, dtype=float), 1e-12, 60
+    )
+    found = []
+    for i in np.flatnonzero(status == she_solver.CONVERGED):
+        try:
+            angles = AngleSet(tuple(np.sort(theta[i])))
+        except ValidationError:
+            continue
+        root = angles.as_array()
+        if root[0] < dedup or root[-1] > math.pi / 2 - dedup:
+            continue
+        if any(np.max(np.abs(root - np.array(f[0]))) < dedup for f in found):
+            continue
+        found.append((angles.angles, float(norm[i]), int(iters[i])))
+    found.sort(key=lambda f: f[0][0])
+    return found
+
+
 class TestTargetSet:
     def test_rejects_even_order(self):
         with pytest.raises(ValidationError, match="orders"):
@@ -265,6 +290,14 @@ class TestNewton:
         assert got[0] == kind
         assert got == _outcome(_reference_newton, np.array(theta), targets_3.as_array(), tol)
 
+    @pytest.mark.parametrize("gap", np.logspace(-14, -9, 20))
+    def test_condition_guard_across_the_limit(self, targets_3, gap):
+        # an angle pair gap apart puts the condition number near 1e-2 / gap,
+        # so the sweep crosses the 1e12 limit; every outcome is the reference's
+        theta = (0.3, 0.3 + gap, 1.0)
+        got = _outcome(solve_newton, AngleSet(theta), targets_3)
+        assert got == _outcome(_reference_newton, np.array(theta), targets_3.as_array())
+
 
 class TestMultistart:
     def test_three_level_contains_reference_branch(self, targets_3, solution_3):
@@ -342,6 +375,17 @@ class TestMultistart:
         assert solve_multistart(targets, grid_step_deg=5.0) == whole
         assert len(whole) == 7
 
+    # 397 seeds a chunk splits the 2,380 seeds into 6 chunks; 7 would take 5-7 s
+    @pytest.mark.parametrize("chunk", [None, 397])
+    @pytest.mark.parametrize("orders", [(3, 5, 7, 9), (5, 7, 11, 13)])
+    def test_equals_the_seed_loop_on_four_level_targets(self, monkeypatch, orders, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(she_solver, "MULTISTART_CHUNK", chunk)
+        got = solve_multistart(HarmonicTargetSet(orders), grid_step_deg=5.0)
+        want = _seed_loop_branches(orders)
+        assert len(want) >= 2
+        assert [(s.angle_set.angles, s.residual_norm, s.iterations) for s in got] == want
+
     @pytest.mark.parametrize(
         "orders, counts",
         [
@@ -403,7 +447,34 @@ class TestMultistart:
                 assert abs(harmonic_amplitude(sol.angle_set, 500.0, n)) < 1e-9 * b1
 
 
+def _exhaustive_oracle(orders, step_deg):
+    """Every ascending lattice tuple scored; the min of (score, index tuple)."""
+    theta = np.radians(np.arange(1, int(math.ceil(90.0 / step_deg))) * step_deg)
+    tuples = np.array(list(combinations(range(len(theta)), len(orders))))
+    cos_tab = np.cos(np.asarray(orders, dtype=float)[:, None] * theta[None, :])
+    scores = (cos_tab[:, tuples].sum(axis=2) ** 2).sum(axis=0)
+    best = min(zip(scores.tolist(), map(tuple, tuples.tolist())))
+    return tuple(theta[list(best[1])])
+
+
 class TestGridOracle:
+    @pytest.mark.parametrize(
+        "orders, step",
+        [
+            ((3,), 1.0),
+            ((3, 5), 1.0),
+            ((3, 5, 7), 1.0),
+            ((3, 5, 7, 9), 3.0),
+            ((3, 5, 7, 9, 11), 5.0),
+            # three prefix angles: lexicographic prefixes are not sorted by
+            # their last index
+            ((3, 5, 7, 9, 11, 13), 5.0),
+        ],
+    )
+    def test_equals_the_exhaustive_search(self, orders, step):
+        got = grid_oracle(HarmonicTargetSet(orders), step)
+        assert got.angles == _exhaustive_oracle(orders, step)
+
     def test_single_order(self):
         aset = grid_oracle(HarmonicTargetSet((3,)), 0.1)
         assert aset.to_degrees()[0] == pytest.approx(30.0, abs=1e-9)

@@ -332,6 +332,11 @@ class TestSteadyState:
         res = energy_balance_residual(table_trace, table_params, table_params.r_ac)
         assert res < 1e-6
 
+    def test_energy_balance_is_a_python_float(self, table_params, table_trace):
+        # a numpy scalar prints as np.float64(...) in the text reports
+        res = energy_balance_residual(table_trace, table_params, table_params.r_ac)
+        assert type(res) is float
+
     def test_energy_balance_rejects_another_load(self, table_params, table_trace):
         # a load other than the one the trace was integrated with would give
         # a residual of 0.5 for a correct trace
