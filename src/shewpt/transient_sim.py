@@ -24,13 +24,13 @@ of P is the factor by which a start-up transient decays per cycle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
+from .reporting import _write_csv
 from .waveform import SteppedWaveform, _signed_level_count
 # fha_solve is not called here; it stays a module attribute because the
 # benchmark's traced run (bench/spans.py) patches transient_sim.fha_solve
@@ -76,15 +76,12 @@ class TransientTrace:
 
     def to_csv(self, path) -> None:
         """Header ``t_s,v_drive_V,i1_A,i2_A,vC1_V,vC2_V``."""
-        drive = np.append(self.drive, self.drive[0] if len(self.drive) else 0.0)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "v_drive_V", "i1_A", "i2_A", "vC1_V", "vC2_V"])
-            for s, row in enumerate(self.states):
-                writer.writerow(
-                    [repr(s * self.dt), repr(float(drive[s]))]
-                    + [repr(float(x)) for x in row]
-                )
+        _write_csv(
+            path, ["t_s", "v_drive_V", "i1_A", "i2_A", "vC1_V", "vC2_V"],
+            np.arange(len(self.states)) * self.dt,
+            np.append(self.drive, self.drive[0]),
+            *self.states.T,
+        )
 
 
 @dataclass(frozen=True)
@@ -121,20 +118,20 @@ def _system_matrices(params: WptLinkParams, r_ac: float):
 def _drive_samples(drive, steps_per_cycle: int):
     """Per-step drive voltages over one cycle, plus the angle snap error."""
     if isinstance(drive, SquareDrive):
-        half = steps_per_cycle // 2
-        v = np.where(np.arange(steps_per_cycle) < half, drive.amplitude, -drive.amplitude)
-        return v, drive.frequency, 0.0
-    if isinstance(drive, SteppedWaveform):
-        grid = 2 * math.pi / steps_per_cycle
+        # the one-layer staircase that switches at theta = 0
+        theta, level, freq = np.zeros(1), drive.amplitude, drive.frequency
+    elif isinstance(drive, SteppedWaveform):
         theta = drive.angle_set.as_array()
-        snapped = np.round(theta / grid) * grid
-        snap_err = float(np.max(np.abs(snapped - theta)))
-        phases = np.arange(steps_per_cycle) * grid
-        # half-grid slack makes the edge comparison exact despite float mod
-        count = _signed_level_count(snapped - 0.5 * grid, phases)
-        v = count * drive.step_voltage
-        return v, drive.fundamental_frequency, snap_err
-    raise ValidationError(f"drive: unsupported type {type(drive).__name__}")
+        level, freq = drive.step_voltage, drive.fundamental_frequency
+    else:
+        raise ValidationError(f"drive: unsupported type {type(drive).__name__}")
+    grid = 2 * math.pi / steps_per_cycle
+    snapped = np.round(theta / grid) * grid
+    snap_err = float(np.max(np.abs(snapped - theta)))
+    phases = np.arange(steps_per_cycle) * grid
+    # half-grid slack makes the edge comparison exact despite float mod
+    count = _signed_level_count(snapped - 0.5 * grid, phases)
+    return count * level, freq, snap_err
 
 
 # Longest cycle simulate accepts: its (steps + 1, 4, 4) float64 propagator

@@ -10,13 +10,13 @@ terms only:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .reporting import _write_csv
 
 __all__ = [
     "AngleSet",
@@ -71,8 +71,11 @@ def _signed_level_count(thresholds: np.ndarray, phase) -> np.ndarray:
     the half period, with the sign of that half period.
     """
     phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
-    half = np.mod(phase, math.pi)
-    sign = np.where(phase < math.pi, 1.0, -1.0)
+    first = phase < math.pi
+    # np.mod(phase, pi) without a second divmod: phase - pi is exact on
+    # [pi, 2 pi] (Sterbenz lemma)
+    half = np.where(first, phase, phase - math.pi)
+    sign = np.where(first, 1.0, -1.0)
     fold = np.minimum(half, math.pi - half)
     return sign * np.searchsorted(thresholds, fold, side="right")
 
@@ -186,9 +189,4 @@ def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192) -> None:
     if samples < 2:
         raise ValidationError(f"samples: {samples!r} must be >= 2")
     t = np.arange(samples) * (w.period / samples)
-    v = w.sample_at(t)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "v_V"])
-        for ti, vi in zip(t, v):
-            writer.writerow([repr(float(ti)), repr(float(vi))])
+    _write_csv(path, ["t_s", "v_V"], t, w.sample_at(t))

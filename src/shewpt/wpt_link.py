@@ -8,7 +8,6 @@ resistance 8*R/pi^2. The input-impedance phase sign is the ZVS indicator.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -16,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonConvergenceError, SingularMatrixError, ValidationError
+from .reporting import _read_json
 
 __all__ = [
     "WptLinkParams",
@@ -68,8 +68,7 @@ class WptLinkParams:
     @classmethod
     def from_json(cls, path) -> "WptLinkParams":
         try:
-            with open(path) as fh:
-                cfg = json.load(fh)
+            cfg = _read_json(path)
         except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
             raise ValidationError(f"config: cannot read {path} as JSON: {exc}") from exc
         return cls.from_config(cfg)
@@ -169,13 +168,15 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
     p_out = abs(i2) ** 2 * r_ac
     p_in = (v1 * i1.conjugate()).real
     z_in = v1 / i1
+    # solved in numpy; only the results become Python numbers, because the
+    # same arithmetic in Python complex rounds Z_in differently
     return FhaSolution(
-        I1=i1,
-        I2=i2,
+        I1=complex(i1),
+        I2=complex(i2),
         V1=v1,
-        Z_in=z_in,
-        P_out=p_out,
-        P_in=p_in,
+        Z_in=complex(z_in),
+        P_out=float(p_out),
+        P_in=float(p_in),
         zvs_favorable=cmath.phase(z_in) > 0,
     )
 

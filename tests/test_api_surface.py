@@ -1,5 +1,6 @@
 """The public names of each module, written out so that any change shows in a diff."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -80,3 +81,17 @@ def test_benchmark_span_targets_resolve():
     for owner, attr, _ in spans.TARGETS:
         found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
         assert found, f"{owner.__name__}.{attr} does not resolve"
+
+
+def test_only_reporting_reads_or_writes_data_formats():
+    # reporting owns the CSV and JSON formats; no other module imports them
+    package = Path(__file__).resolve().parents[1] / "src" / "shewpt"
+    for path in sorted(package.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+        owned = imported & {"csv", "json"}
+        assert owned == ({"json"} if path.stem == "reporting" else set()), path.name

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -34,6 +35,17 @@ class TestSolve:
         assert code == 0
         report = json.loads((tmp_path / "she_solution.json").read_text())
         assert len(report["solutions"]) >= 2
+        for idx, sol in enumerate(report["solutions"]):
+            # the per-row csv.writer loop that wrote these files before the
+            # rows went through one writer; the JSON floats round-trip exactly
+            reference = tmp_path / f"reference_{idx}.csv"
+            with open(reference, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["theta_index", "theta_deg"])
+                for i, deg in enumerate(sol["angles_deg"], start=1):
+                    writer.writerow([i, repr(deg)])
+            written = (tmp_path / f"she_solution_{idx}.csv").read_bytes()
+            assert written == reference.read_bytes()
 
     def test_invalid_harmonics_exit_2(self, tmp_path, capsys):
         code, _, err = run(
@@ -69,6 +81,20 @@ class TestSolve:
         code, _, _ = run(capsys, ["solve", "--harmonics", "3", "--init", "25"])
         assert code == 0
         assert (tmp_path / "she_solution.json").exists()
+
+    def test_outdir_naming_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a FileExistsError traceback (exit 1) before out_dir was checked
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        argv = ["solve", "--harmonics", "3", "--init", "25"]
+        code, _, err = run(capsys, ["--out-dir", str(taken)] + argv)
+        assert code == 2
+        assert err.startswith("validation error: out_dir")
+        monkeypatch.setenv("SHEWPT_OUTDIR", str(taken))
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("validation error: out_dir")
+        assert taken.read_text() == "not a directory"
 
 
 class TestSynth:
@@ -115,6 +141,7 @@ class TestWpt:
     def test_default_config_fha(self, tmp_path, capsys):
         code, out, _ = run(capsys, ["--out-dir", str(tmp_path), "wpt"])
         assert code == 0
+        assert "np." not in out
         report = json.loads((tmp_path / "wpt_report.json").read_text())
         assert report["outputs"]["fha"]["P_out_W"] == pytest.approx(201.98, abs=0.01)
 
@@ -165,7 +192,7 @@ class TestWpt:
         assert code == 0
         (line,) = [ln for ln in out.splitlines() if ln.startswith("  transient:")]
         assert "energy_balance_residual" in line
-        assert "np.float64" not in line
+        assert "np." not in out
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -196,6 +223,8 @@ class TestWpt:
         (["solve", "--harmonics", "3,5,7", "--init", "11,41,85",
           "--max-iter", "-3"], "max_iter"),
         (["solve", "--harmonics", "3,5,7", "--multistart",
+          "--max-iter", "-3"], "max_iter"),
+        (["solve", "--harmonics", "3,5,7", "--multistart",
           "--grid-deg", "0.001"], "grid_step_deg"),
         (["solve", "--harmonics", "3,5,7,9,11,13", "--multistart",
           "--grid-deg", "15"], "grid_step_deg"),
@@ -208,7 +237,8 @@ class TestWpt:
         "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
         "synth-step-voltage-inf", "spectrum-n-max-0",
         "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
-        "wpt-config-list", "solve-max-iter-negative", "multistart-over-cost-guard",
+        "wpt-config-list", "solve-max-iter-negative", "multistart-max-iter-negative",
+        "multistart-over-cost-guard",
         "multistart-empty-lattice",
         "solve-tol-1", "solve-tol-inf",
     ],
@@ -239,4 +269,16 @@ class TestReproduce:
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
         report = json.loads((tmp_path / "reproduce_report.json").read_text())
+        assert report["all_passed"] is True
+
+    def test_all_cases(self, tmp_path, capsys):
+        # every case writes through write_json, which takes Python values only
+        code, out, _ = run(capsys, ["--out-dir", str(tmp_path), "reproduce"])
+        assert code == 0
+        assert "[FAIL]" not in out and "np." not in out
+        report = json.loads((tmp_path / "reproduce_report.json").read_text())
+        assert [case["command"] for case in report["cases"]] == [
+            "reproduce 3level", "reproduce 4level",
+            "reproduce wpt100", "reproduce wpt150",
+        ]
         assert report["all_passed"] is True

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +19,25 @@ from shewpt import (
 )
 from shewpt.spectrum import spectrum_to_csv
 from shewpt.waveform import interval_mean_samples
+
+
+def _row_loop_csv(spectrum, path):
+    # the per-row csv.writer loop that wrote spectrum.csv before the rows
+    # went through one writer
+    a1 = float(spectrum.amplitudes[1])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "f_Hz", "amp_V", "rel_to_fund"])
+        for n in range(1, spectrum.n_max + 1):
+            amp = float(spectrum.amplitudes[n])
+            writer.writerow(
+                [
+                    n,
+                    repr(n * spectrum.fundamental_frequency),
+                    repr(amp),
+                    repr(amp / a1 if a1 else math.nan),
+                ]
+            )
 
 
 def sine_samples(amplitude=1.0, count=8192):
@@ -113,8 +134,10 @@ class TestThd:
 
     def test_undefined_without_fundamental(self):
         spec = dft_spectrum(np.zeros(1024), 50.0, 9)
-        with pytest.raises(UndefinedThdError):
+        with pytest.raises(UndefinedThdError) as info:
             thd(spec, 9)
+        # the CLI maps every ValidationError to exit 2 in one branch
+        assert isinstance(info.value, ValidationError)
 
     def test_monotone_and_convergent(self, waveform_3):
         spec = analytic_spectrum(waveform_3.angle_set, 500.0, 85e3, 999)
@@ -150,6 +173,14 @@ class TestThdReport:
         assert report.thd_21 >= 0
         assert report.eliminated_orders_max_relative < 1e-6
 
+    def test_values_are_python_numbers(self, waveform_3, waveform_4):
+        # a numpy scalar here would make write_json raise TypeError
+        for w, eliminated in ((waveform_3, (3, 5, 7)), (waveform_4, ()), (waveform_4, (3,))):
+            report = thd_report(w, eliminated_orders=eliminated)
+            for field in dataclasses.fields(report):
+                # exact type names: np.float64 subclasses float
+                assert type(getattr(report, field.name)).__name__ == field.type
+
     def test_csv_export(self, waveform_3, tmp_path):
         spec = waveform_dft_spectrum(waveform_3, 21)
         path = tmp_path / "spec.csv"
@@ -160,3 +191,20 @@ class TestThdReport:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[3]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_max", [21, 99])
+    def test_csv_bytes_equal_the_row_loop(self, waveform_3, tmp_path, n_max):
+        spec = waveform_dft_spectrum(waveform_3, n_max)
+        _row_loop_csv(spec, tmp_path / "reference.csv")
+        spectrum_to_csv(spec, tmp_path / "spec.csv")
+        assert (tmp_path / "spec.csv").read_bytes() == (
+            tmp_path / "reference.csv"
+        ).read_bytes()
+
+    def test_csv_without_fundamental_writes_nan(self, tmp_path):
+        spec = dft_spectrum(np.zeros(1024), 50.0, 9)
+        _row_loop_csv(spec, tmp_path / "reference.csv")
+        spectrum_to_csv(spec, tmp_path / "spec.csv")
+        data = (tmp_path / "spec.csv").read_bytes()
+        assert data == (tmp_path / "reference.csv").read_bytes()
+        assert data.splitlines()[1] == b"1,50.0,0.0,nan"

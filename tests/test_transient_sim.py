@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 from dataclasses import replace
@@ -181,6 +182,21 @@ class TestSimulate:
         drive = _drive(p, staircase, solution_3.angle_set)
         _assert_matches_sequential_loop(p, drive, spc)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 100.0, 1.0 / 3.0])
+    def test_square_drive_is_plus_then_minus_amplitude(self, amplitude):
+        # bit for bit, the sign of zero included: the first half cycle at
+        # +amplitude, the second at -amplitude
+        spc = 512
+        while spc <= transient_sim.MAX_STEPS_PER_CYCLE:
+            v, freq, snap_err = transient_sim._drive_samples(
+                SquareDrive(amplitude, 85e3), spc
+            )
+            expected = np.where(np.arange(spc) < spc // 2, amplitude, -amplitude)
+            np.testing.assert_array_equal(v, expected)
+            np.testing.assert_array_equal(np.signbit(v), np.signbit(expected))
+            assert (freq, snap_err) == (85e3, 0.0)
+            spc *= 2
+
     def test_zero_drive_stays_zero(self, table_params):
         trace = simulate(table_params, SquareDrive(0.0, 85e3), steps_per_cycle=512)
         assert np.max(np.abs(trace.states)) == 0.0
@@ -285,6 +301,28 @@ class TestSimulate:
         lines = path.read_text().splitlines()
         assert lines[0] == "t_s,v_drive_V,i1_A,i2_A,vC1_V,vC2_V"
         assert len(lines) == 514
+
+    @pytest.mark.parametrize("staircase", [False, True])
+    def test_trace_csv_bytes_equal_the_row_loop(
+        self, table_params, solution_3, tmp_path, staircase
+    ):
+        # the per-row csv.writer loop that wrote this file before the rows
+        # went through one writer
+        drive = _drive(table_params, staircase, solution_3.angle_set)
+        trace = simulate(table_params, drive, steps_per_cycle=512)
+        reference = tmp_path / "reference.csv"
+        drive_column = np.append(trace.drive, trace.drive[0])
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_s", "v_drive_V", "i1_A", "i2_A", "vC1_V", "vC2_V"])
+            for s, row in enumerate(trace.states):
+                writer.writerow(
+                    [repr(s * trace.dt), repr(float(drive_column[s]))]
+                    + [repr(float(x)) for x in row]
+                )
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 @pytest.fixture(scope="module")

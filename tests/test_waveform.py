@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -220,3 +221,19 @@ class TestCsvExport:
         assert lines[0] == "t_s,v_V"
         assert len(lines) == 1025
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("samples", [8192, 65536])
+    def test_bytes_equal_the_row_loop(self, waveform_3, tmp_path, samples):
+        # the per-row csv.writer loop that wrote this file before the rows
+        # went through one writer
+        t = np.arange(samples) * (waveform_3.period / samples)
+        v = waveform_3.sample_at(t)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_s", "v_V"])
+            for ti, vi in zip(t, v):
+                writer.writerow([repr(float(ti)), repr(float(vi))])
+        path = tmp_path / "waveform.csv"
+        waveform_to_csv(waveform_3, path, samples=samples)
+        assert path.read_bytes() == reference.read_bytes()

@@ -191,6 +191,25 @@ class TestFhaSolve:
         with pytest.raises(NonConvergenceError, match="diode"):
             fha_solve(p)
 
+    def test_results_are_python_numbers(self, table_params):
+        # numpy scalars here printed as np.float64(...) in the CLI's fha line
+        # and would make write_json raise TypeError; exact types, since
+        # np.float64 subclasses float
+        for p in (
+            table_params,
+            replace(table_params, V_dc=150.0),
+            replace(table_params, k=0.0),
+            replace(table_params, R1=0.5, R2=0.3, diode_drop=1.2),
+        ):
+            sol = fha_solve(p)
+            assert [type(x) for x in (sol.I1, sol.I2, sol.V1, sol.Z_in)] == [complex] * 4
+            assert [type(x) for x in (sol.P_out, sol.P_in)] == [float, float]
+            for key, value in sol.to_dict().items():
+                if key == "Z_in_ohm":
+                    assert [type(x) for x in value] == [float, float]
+                else:
+                    assert type(value) in (float, bool), key
+
     def test_singular_mesh(self):
         # lossless tank driven exactly at the lower coupled-mode frequency
         # f0 / sqrt(1 + k), where the mesh determinant vanishes
