@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import she_solver, spectrum as spec_mod, transient_sim, waveform, wpt_link
 from .errors import DivergenceError, NonConvergenceError, SingularMatrixError, ValidationError
 from .reporting import RunReport, _write_csv, spectrum_svg, waveform_svg
@@ -78,18 +76,14 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _parse_floats(text: str, name: str) -> tuple[float, ...]:
+def _parse_list(text: str, name: str, kind) -> tuple:
+    """Comma-separated ``kind`` values (``int`` or ``float``) of option ``name``."""
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"{name}: {text!r} is not a comma-separated number list") from exc
-
-
-def _parse_ints(text: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"{name}: {text!r} is not a comma-separated integer list") from exc
+        raise ValidationError(
+            f"{name}: {text!r} is not a comma-separated list of {kind.__name__} values"
+        ) from exc
 
 
 def _write_solution_files(solutions, targets, out_dir: Path, stem: str) -> str:
@@ -118,7 +112,7 @@ def _write_solution_files(solutions, targets, out_dir: Path, stem: str) -> str:
 
 def cmd_solve(args) -> int:
     out_dir = _out_dir(args)
-    targets = she_solver.HarmonicTargetSet(_parse_ints(args.harmonics, "harmonics"))
+    targets = she_solver.HarmonicTargetSet(_parse_list(args.harmonics, "harmonics", int))
     if args.multistart:
         solutions = she_solver.solve_multistart(
             targets, grid_step_deg=args.grid_deg, tol=args.tol, max_iter=args.max_iter
@@ -129,7 +123,7 @@ def cmd_solve(args) -> int:
     else:
         if args.init is None:
             raise ValidationError("init: required unless --multistart is given")
-        init = waveform.AngleSet.from_degrees(_parse_floats(args.init, "init"))
+        init = waveform.AngleSet.from_degrees(_parse_list(args.init, "init", float))
         solutions = [
             she_solver.solve_newton(init, targets, tol=args.tol, max_iter=args.max_iter)
         ]
@@ -142,7 +136,7 @@ def cmd_solve(args) -> int:
 
 
 def _build_waveform(args) -> waveform.SteppedWaveform:
-    angles = waveform.AngleSet.from_degrees(_parse_floats(args.angles_deg, "angles_deg"))
+    angles = waveform.AngleSet.from_degrees(_parse_list(args.angles_deg, "angles_deg", float))
     return waveform.synth(angles, args.step_voltage, args.frequency)
 
 
@@ -150,10 +144,9 @@ def cmd_synth(args) -> int:
     out_dir = _out_dir(args)
     w = _build_waveform(args)
     csv_path = out_dir / "waveform.csv"
-    waveform.waveform_to_csv(w, csv_path, samples=args.samples)
-    t = np.arange(args.samples) * (w.period / args.samples)
+    t, v = waveform.waveform_to_csv(w, csv_path, samples=args.samples)
     svg_path = out_dir / "waveform.svg"
-    waveform_svg(t, w.sample_at(t), svg_path, title="multilevel output voltage")
+    waveform_svg(t, v, svg_path, title="multilevel output voltage")
     print(f"waveform: {csv_path}")
     print(f"plot: {svg_path}")
     print(f"peak_V: {w.peak}")
@@ -175,7 +168,10 @@ def cmd_spectrum(args) -> int:
         svg_path,
         title="harmonic amplitudes relative to fundamental",
     )
-    report = spec_mod.thd_report(w, eliminated_orders=args.eliminated or ())
+    eliminated = () if args.eliminated is None else _parse_list(
+        args.eliminated, "eliminated", int
+    )
+    report = spec_mod.thd_report(w, eliminated_orders=eliminated)
     json_path = out_dir / "thd_report.json"
     write_json(
         {
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frequency", type=float, default=DRIVE_FREQUENCY)
     p.add_argument("--n-max", type=int, default=21)
     p.add_argument("--samples", type=int, default=8192)
-    p.add_argument("--eliminated", type=lambda s: _parse_ints(s, "eliminated"), default=None)
+    p.add_argument("--eliminated", default=None, help="eliminated orders, e.g. 3,5,7")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wpt", help="predict the coupled-coil link behaviour")

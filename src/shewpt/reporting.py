@@ -132,10 +132,13 @@ def _svg_header():
 
 
 def waveform_svg(t, v, path, title="waveform") -> None:
-    """Polyline plot of one waveform period."""
+    """Polyline plot of one waveform period, a vertex at each end of a run of equal v."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:-1] = (v[1:-1] != v[:-2]) | (v[1:-1] != v[2:])
+    t, v = t[keep], v[keep]
     pad = 40
     vmax = max(float(np.max(np.abs(v))), 1e-12)
     x = pad + (t - t[0]) / (t[-1] - t[0]) * (width - 2 * pad)

@@ -64,20 +64,25 @@ class AngleSet:
         return np.asarray(self.angles, dtype=float)
 
 
+def _fold(phase):
+    """``(first, half, fold)``: is ``phase`` in the first half period, its angle
+    within the half period, and that angle mirrored about pi/2 into [0, pi/2]."""
+    phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
+    first = phase < math.pi
+    # np.mod(phase, pi) without a second divmod: phase - pi is exact on
+    # [pi, 2 pi] (Sterbenz lemma)
+    half = np.where(first, phase, phase - math.pi)
+    return first, half, np.minimum(half, math.pi - half)
+
+
 def _signed_level_count(thresholds: np.ndarray, phase) -> np.ndarray:
     """Signed count of layers conducting at electrical angle(s) ``phase``.
 
     Layer i conducts where thresholds[i] <= fold <= pi - thresholds[i] in
     the half period, with the sign of that half period.
     """
-    phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
-    first = phase < math.pi
-    # np.mod(phase, pi) without a second divmod: phase - pi is exact on
-    # [pi, 2 pi] (Sterbenz lemma)
-    half = np.where(first, phase, phase - math.pi)
-    sign = np.where(first, 1.0, -1.0)
-    fold = np.minimum(half, math.pi - half)
-    return sign * np.searchsorted(thresholds, fold, side="right")
+    first, _, fold = _fold(phase)
+    return np.where(first, 1.0, -1.0) * np.searchsorted(thresholds, fold, side="right")
 
 
 @dataclass(frozen=True)
@@ -113,28 +118,14 @@ class SteppedWaveform:
 
     def angle_integral(self, phase):
         """Integral of v over electrical angle from 0 to phase (volt-radians)."""
-        phase = np.asarray(phase, dtype=float)
         theta = self.angle_set.as_array()
-
-        def quarter(y):
-            # integral of the level count over [0, y], y in [0, pi/2]
-            return np.maximum(0.0, y[..., None] - theta).sum(axis=-1)
-
-        def half(y):
-            # integral over [0, y], y in [0, pi]; symmetric about pi/2
-            q_top = quarter(np.full_like(y, math.pi / 2))
-            lo = quarter(np.minimum(y, math.pi / 2))
-            hi = q_top - quarter(np.minimum(math.pi - y, math.pi / 2))
-            return lo + np.where(y > math.pi / 2, hi, 0.0)
-
-        wraps = np.floor(phase / (2 * math.pi))
-        rem = phase - wraps * 2 * math.pi  # full periods integrate to zero
-        in_second = rem > math.pi
-        rem_half = np.where(in_second, rem - math.pi, rem)
-        h = half(rem_half)
-        h_full = half(np.full_like(rem_half, math.pi))
-        val = np.where(in_second, h_full - h, h)
-        out = self.step_voltage * val
+        first, half, fold = _fold(phase)  # full periods integrate to zero
+        q = np.maximum(0.0, fold[..., None] - theta).sum(axis=-1)  # over [0, fold]
+        q_top = np.maximum(0.0, math.pi / 2 - theta).sum()  # over the quarter wave
+        # mirrored about pi/2; tests/test_waveform.py pins the rounding of the
+        # grouping q_top + (q_top - q) bit for bit
+        h = np.where(half > math.pi / 2, q_top + (q_top - q), q)
+        out = self.step_voltage * np.where(first, h, 2 * q_top - h)
         return float(out) if out.ndim == 0 else out
 
 
@@ -184,9 +175,11 @@ def interval_mean_samples(w: SteppedWaveform, count: int) -> np.ndarray:
     return np.diff(integral) / (2 * math.pi / count)
 
 
-def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192) -> None:
-    """One period of pointwise samples, header ``t_s,v_V``."""
+def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192):
+    """One period of pointwise samples, header ``t_s,v_V``; returns ``(t, v)``."""
     if samples < 2:
         raise ValidationError(f"samples: {samples!r} must be >= 2")
     t = np.arange(samples) * (w.period / samples)
-    _write_csv(path, ["t_s", "v_V"], t, w.sample_at(t))
+    v = w.sample_at(t)
+    _write_csv(path, ["t_s", "v_V"], t, v)
+    return t, v

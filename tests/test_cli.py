@@ -1,9 +1,14 @@
 import csv
+import itertools
 import json
+import re
 
+import numpy as np
 import pytest
 
+from shewpt import AngleSet, synth
 from shewpt.cli import main
+from shewpt.waveform import SteppedWaveform
 
 
 def run(capsys, argv):
@@ -112,6 +117,47 @@ class TestSynth:
         assert code == 0
         assert (tmp_path / "waveform.csv").read_bytes() == first
 
+    def test_samples_the_waveform_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        sample_at = SteppedWaveform.sample_at
+
+        def counted(self, t):
+            calls.append(len(t))
+            return sample_at(self, t)
+
+        monkeypatch.setattr(SteppedWaveform, "sample_at", counted)
+        argv = [
+            "--out-dir", str(tmp_path), "synth",
+            "--angles-deg", "11.99,41.93,85.67", "--step-voltage", "500",
+        ]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert calls == [8192]
+
+    @pytest.mark.parametrize("samples", [8192, 65536])
+    def test_svg_draws_the_ends_of_each_level_run(self, tmp_path, capsys, samples):
+        code, _, _ = run(capsys, [
+            "--out-dir", str(tmp_path), "synth", "--angles-deg", "11.99,41.93,85.67",
+            "--step-voltage", "500", "--samples", str(samples),
+        ])
+        assert code == 0
+        # the polyline with one vertex per sample, as it was drawn before
+        # the interior points of each run of equal v were dropped
+        w = synth(AngleSet.from_degrees([11.99, 41.93, 85.67]), 500.0, 85e3)
+        t = np.arange(samples) * (w.period / samples)
+        v = w.sample_at(t)
+        x = 40 + (t - t[0]) / (t[-1] - t[0]) * (800 - 80)
+        y = 400 / 2 - v / np.max(np.abs(v)) * (400 / 2 - 40)
+        per_sample = [f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y)]
+        expected = []
+        for _, group in itertools.groupby(zip(v.tolist(), per_sample), key=lambda p: p[0]):
+            group = [point for _, point in group]
+            expected += [group[0], group[-1]] if len(group) > 1 else group
+        svg = (tmp_path / "waveform.svg").read_text()
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1).split(" ")
+        assert points == expected
+        assert len(points) == 2 * 13  # both ends of the 4K + 1 level runs
+
 
 class TestSpectrum:
     def test_waveform_spectrum(self, tmp_path, capsys):
@@ -216,6 +262,8 @@ class TestWpt:
          "step_voltage"),
         (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
           "--n-max", "0"], "n_max"),
+        (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--eliminated", "3,x"], "eliminated"),
         (["wpt", "--config", "{missing}"], "config"),
         (["wpt", "--config", "{not_json}"], "config"),
         (["wpt", "--config", "{text_number}"], "L1_H"),
@@ -235,7 +283,7 @@ class TestWpt:
     ],
     ids=[
         "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
-        "synth-step-voltage-inf", "spectrum-n-max-0",
+        "synth-step-voltage-inf", "spectrum-n-max-0", "spectrum-eliminated-not-int",
         "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
         "wpt-config-list", "solve-max-iter-negative", "multistart-max-iter-negative",
         "multistart-over-cost-guard",

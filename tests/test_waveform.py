@@ -197,6 +197,69 @@ class TestIntegralOracles:
         assert abs(np.mean(means)) < 1e-9
 
 
+def _six_quarter_angle_integral(w, phase):
+    # the angle integral as written before it shared sample_at's half-wave
+    # fold: a floor-based wrap and six quarter-wave evaluations, two of
+    # them constants over full arrays
+    phase = np.asarray(phase, dtype=float)
+    theta = w.angle_set.as_array()
+
+    def quarter(y):
+        return np.maximum(0.0, y[..., None] - theta).sum(axis=-1)
+
+    def half(y):
+        q_top = quarter(np.full_like(y, math.pi / 2))
+        lo = quarter(np.minimum(y, math.pi / 2))
+        hi = q_top - quarter(np.minimum(math.pi - y, math.pi / 2))
+        return lo + np.where(y > math.pi / 2, hi, 0.0)
+
+    wraps = np.floor(phase / (2 * math.pi))
+    rem = phase - wraps * 2 * math.pi
+    in_second = rem > math.pi
+    rem_half = np.where(in_second, rem - math.pi, rem)
+    h = half(rem_half)
+    h_full = half(np.full_like(rem_half, math.pi))
+    return w.step_voltage * np.where(in_second, h_full - h, h)
+
+
+def _random_waveform(rng, layers):
+    while True:
+        angles = np.sort(rng.uniform(0.0, math.pi / 2, layers))
+        if angles[0] > 0 and np.all(np.diff(angles) > 0):
+            return synth(AngleSet(tuple(angles)), float(rng.uniform(1.0, 1000.0)), 85e3)
+
+
+class TestAngleIntegral:
+    GRID_SIZES = [2, 3, 5, 7, 100, 1000, 4097, 12345] + [2**p for p in range(2, 17)]
+
+    @pytest.mark.parametrize("layers", range(1, 16))
+    def test_equals_the_six_quarter_integral_on_period_grids(self, layers):
+        rng = np.random.default_rng(1000 + layers)
+        w = _random_waveform(rng, layers)
+        for n in self.GRID_SIZES:
+            edges = np.linspace(0.0, 2 * math.pi, n + 1)
+            assert np.array_equal(
+                w.angle_integral(edges), _six_quarter_angle_integral(w, edges)
+            ), n
+
+    def test_equals_the_six_quarter_integral_on_random_phases(self, waveform_3):
+        rng = np.random.default_rng(7)
+        waveforms = [waveform_3] + [_random_waveform(rng, k) for k in (1, 2, 5, 11, 15)]
+        phase = rng.uniform(-20.0, 20.0, 20_000)
+        for w in waveforms:
+            assert np.array_equal(w.angle_integral(phase), _six_quarter_angle_integral(w, phase))
+
+    def test_equals_the_six_quarter_integral_at_multiples_of_half_pi(self, waveform_3):
+        phase = np.arange(-16, 17) * (math.pi / 2)
+        assert np.array_equal(
+            waveform_3.angle_integral(phase), _six_quarter_angle_integral(waveform_3, phase)
+        )
+        for p in phase:
+            value = waveform_3.angle_integral(float(p))
+            assert type(value) is float
+            assert value == float(_six_quarter_angle_integral(waveform_3, p))
+
+
 class TestScaling:
     @given(scale=st.floats(1e-3, 1e3))
     @settings(max_examples=50, deadline=None)
