@@ -157,7 +157,13 @@ def cmd_synth(args) -> int:
 def cmd_spectrum(args) -> int:
     out_dir = _out_dir(args)
     w = _build_waveform(args)
+    eliminated = () if args.eliminated is None else _parse_list(
+        args.eliminated, "eliminated", int
+    )
     spec = spec_mod.waveform_dft_spectrum(w, args.n_max, samples_per_period=args.samples)
+    report = spec_mod.thd_report(
+        w, eliminated_orders=eliminated, samples_per_period=args.samples
+    )
     csv_path = out_dir / "spectrum.csv"
     spec_mod.spectrum_to_csv(spec, csv_path)
     svg_path = out_dir / "spectrum.svg"
@@ -168,10 +174,6 @@ def cmd_spectrum(args) -> int:
         svg_path,
         title="harmonic amplitudes relative to fundamental",
     )
-    eliminated = () if args.eliminated is None else _parse_list(
-        args.eliminated, "eliminated", int
-    )
-    report = spec_mod.thd_report(w, eliminated_orders=eliminated)
     json_path = out_dir / "thd_report.json"
     write_json(
         {

@@ -53,15 +53,16 @@ class HarmonicTargetSet:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
-        object.__setattr__(self, "orders", orders)
+        orders = tuple(self.orders)
         if len(orders) == 0:
             raise ValidationError("orders: at least one harmonic order required")
         for i, n in enumerate(orders):
-            if n < 3 or n % 2 == 0:
+            if not (n >= 3 and n % 2 == 1):  # also rejects a fraction and nan
                 raise ValidationError(
                     f"orders[{i}]: {n!r} must be an odd integer >= 3"
                 )
+        orders = tuple(int(n) for n in orders)
+        object.__setattr__(self, "orders", orders)
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValidationError("orders: must be strictly ascending")
 

@@ -150,9 +150,13 @@ def thd_report(
     band_total: int = 999,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
 ) -> ThdReport:
-    spec = waveform_dft_spectrum(
-        w, n_max=max(21, band_total), samples_per_period=samples_per_period
-    )
+    n_max = max(21, band_total)
+    if samples_per_period < 2 * n_max + 2:
+        raise ValidationError(
+            f"samples_per_period: {samples_per_period} too few for the "
+            f"{n_max}-order THD band (Nyquist)"
+        )
+    spec = waveform_dft_spectrum(w, n_max=n_max, samples_per_period=samples_per_period)
     a1 = spec.amplitude(1)
     rel = 0.0
     for n in eliminated_orders:

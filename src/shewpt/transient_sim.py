@@ -6,7 +6,8 @@ State x = (i1, i2, vC1, vC2) obeys the linear mesh equations
     dvC1/dt = i1/C1,  dvC2/dt = i2/C2
 
 driven by the inverter square or staircase voltage, held constant over
-each integration step (switching angles snapped to the step grid). The
+each integration step at its value at the step's midpoint, so that every
+switching edge falls on the step boundary nearest its angle. The
 integrator is classical fourth-order Runge-Kutta; because the system is
 linear with piecewise-constant drive, the RK4 update collapses to the
 exact affine map x -> Phi x + Gamma v, which is precomputed once. The
@@ -126,11 +127,10 @@ def _drive_samples(drive, steps_per_cycle: int):
     else:
         raise ValidationError(f"drive: unsupported type {type(drive).__name__}")
     grid = 2 * math.pi / steps_per_cycle
-    snapped = np.round(theta / grid) * grid
-    snap_err = float(np.max(np.abs(snapped - theta)))
-    phases = np.arange(steps_per_cycle) * grid
-    # half-grid slack makes the edge comparison exact despite float mod
-    count = _signed_level_count(snapped - 0.5 * grid, phases)
+    snap_err = float(np.max(np.abs(np.round(theta / grid) * grid - theta)))
+    # each step holds the level at its midpoint, so every edge lands on the
+    # step boundary nearest its angle
+    count = _signed_level_count(theta, (np.arange(steps_per_cycle) + 0.5) * grid)
     return count * level, freq, snap_err
 
 

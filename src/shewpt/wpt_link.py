@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergenceError, SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError
 from .reporting import _read_json
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "fha_solve",
     "power_scaling_check",
 ]
-
-DIODE_DROP_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,9 @@ class WptLinkParams:
         for key in required:
             if key not in cfg:
                 raise ValidationError(f"{key}: missing from link config")
-        for key in required + ("L2_H", "C2_F", "R1_ohm", "R2_ohm", "diode_drop_V"):
-            value = cfg.get(key, 0.0)
+        for key, value in cfg.items():
+            if key not in required + ("L2_H", "C2_F", "R1_ohm", "R2_ohm", "diode_drop_V"):
+                raise ValidationError(f"{key}: not a link config key")
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValidationError(f"{key}: {value!r} is not a number")
         return cls(
@@ -127,46 +126,36 @@ class FhaSolution:
         }
 
 
-def _mesh_solve(params: WptLinkParams, v1: complex, v2: complex):
-    w = 2.0 * math.pi * params.f_s
-    m = params.mutual
-    z11 = params.R1 + 1j * (w * params.L1 - 1.0 / (w * params.C1))
-    z22 = params.R2 + params.r_ac + 1j * (w * params.L2 - 1.0 / (w * params.C2))
-    a = np.array([[z11, 1j * w * m], [1j * w * m, z22]], dtype=complex)
-    if np.linalg.cond(a) > 1e12:
-        raise SingularMatrixError("mesh matrix numerically singular")
-    return np.linalg.solve(a, np.array([v1, v2], dtype=complex))
-
-
 def fha_solve(params: WptLinkParams) -> FhaSolution:
     """Solve the two-mesh phasor system at the switching frequency.
 
-    Raises NonConvergenceError when the diode-drop fixed point has not
-    settled after DIODE_DROP_MAX_ITER mesh solves.
+    The diode drop's fundamental e is in phase with I2, so it is a resistance
+    e/|I2| in series with the load. With a = Z11*Z22 + (wM)^2, x = |I2| solves
+    |a*x + Z11*e| = wM*|V1|, whose quadratic has one positive root when the
+    bridge conducts (wM*|V1| > e*|Z11|) and none otherwise: the bridge
+    blocks, I2 = 0 and I1 = V1/Z11.
     """
-    # fundamental RMS of the full-bridge square wave
+    w = 2.0 * math.pi * params.f_s
+    wm = w * params.mutual
+    z11 = params.R1 + 1j * (w * params.L1 - 1.0 / (w * params.C1))
+    z22 = params.R2 + params.r_ac + 1j * (w * params.L2 - 1.0 / (w * params.C2))
+    # fundamental RMS of the full-bridge square wave, and of the diode drop
     v1 = complex(4.0 * params.V_dc / (math.pi * math.sqrt(2.0)))
-    i1, i2 = _mesh_solve(params, v1, 0.0)
-    if params.diode_drop > 0:
-        # rectifier counter-emf: fundamental of the diode drop, in phase
-        # with -I2; fixed-point since only its phase depends on the solution
-        e_mag = 4.0 * params.diode_drop / (math.pi * math.sqrt(2.0))
-        for _ in range(DIODE_DROP_MAX_ITER):
-            phase = i2 / abs(i2) if abs(i2) > 0 else 1.0
-            i1_new, i2_new = _mesh_solve(params, v1, -e_mag * phase)
-            settled = abs(i2_new - i2) < 1e-12 * max(1.0, abs(i2_new))
-            i1, i2 = i1_new, i2_new
-            if settled:
-                break
+    e = 4.0 * params.diode_drop / (math.pi * math.sqrt(2.0))
+    if e > 0:
+        emf, drop = wm * abs(v1), e * abs(z11)
+        if emf > drop:
+            # |a|^2 x^2 + 2 b x + c = 0 with b = e*Re(a*conj(Z11)) >= 0 and c < 0;
+            # its positive root x = -c / (b + sqrt(b^2 - |a|^2 c)) cancels nothing
+            b = e * (abs(z11) ** 2 * z22.real + wm**2 * z11.real)
+            c = (drop - emf) * (drop + emf)
+            z22 += e * (b + math.sqrt(b * b - abs(z11 * z22 + wm**2) ** 2 * c)) / -c
         else:
-            raise NonConvergenceError(
-                f"diode-drop fixed point not settled after {DIODE_DROP_MAX_ITER} "
-                "iterations",
-                iterations=DIODE_DROP_MAX_ITER,
-            )
-    r_ac = params.r_ac
-    p_out = abs(i2) ** 2 * r_ac
-    p_in = (v1 * i1.conjugate()).real
+            wm = 0.0  # the bridge blocks: I2 = 0 leaves the primary uncoupled
+    mesh = np.array([[z11, 1j * wm], [1j * wm, z22]], dtype=complex)
+    if np.linalg.cond(mesh) > 1e12:
+        raise SingularMatrixError("mesh matrix numerically singular")
+    i1, i2 = np.linalg.solve(mesh, np.array([v1, 0.0], dtype=complex))
     z_in = v1 / i1
     # solved in numpy; only the results become Python numbers, because the
     # same arithmetic in Python complex rounds Z_in differently
@@ -175,8 +164,8 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
         I2=complex(i2),
         V1=v1,
         Z_in=complex(z_in),
-        P_out=float(p_out),
-        P_in=float(p_in),
+        P_out=float(abs(i2) ** 2 * params.r_ac),
+        P_in=float((v1 * i1.conjugate()).real),
         zvs_favorable=cmath.phase(z_in) > 0,
     )
 

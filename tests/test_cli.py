@@ -8,6 +8,7 @@ import pytest
 
 from shewpt import AngleSet, synth
 from shewpt.cli import main
+from shewpt.spectrum import thd_report
 from shewpt.waveform import SteppedWaveform
 
 
@@ -176,6 +177,28 @@ class TestSpectrum:
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "n,f_Hz,amp_V,rel_to_fund"
 
+    def test_thd_report_uses_the_sample_count(self, tmp_path, capsys):
+        angles = (11.991979, 41.927883, 85.674771)
+        code, _, _ = run(
+            capsys,
+            [
+                "--out-dir", str(tmp_path), "spectrum",
+                "--angles-deg", ",".join(map(str, angles)),
+                "--step-voltage", "500", "--eliminated", "3,5,7", "--samples", "65536",
+            ],
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "thd_report.json").read_text())
+        w = SteppedWaveform(AngleSet.from_degrees(angles), 500.0, 85e3)
+        expected = thd_report(w, eliminated_orders=(3, 5, 7), samples_per_period=65536)
+        assert report == {
+            "thd_total_closed_form": expected.thd_total,
+            "thd_first_21": expected.thd_21,
+            "thd_band": expected.thd_band,
+            "band_total": expected.band_total,
+            "eliminated_orders_max_relative": expected.eliminated_orders_max_relative,
+        }
+
     def test_missing_angles_exit_2(self, tmp_path, capsys):
         # --angles-deg and --step-voltage are required: argparse exits 2
         with pytest.raises(SystemExit) as info:
@@ -268,6 +291,9 @@ class TestWpt:
         (["wpt", "--config", "{not_json}"], "config"),
         (["wpt", "--config", "{text_number}"], "L1_H"),
         (["wpt", "--config", "{list}"], "config"),
+        (["wpt", "--config", "{typo}"], "R1_Ohm"),
+        (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--samples", "1024"], "samples"),
         (["solve", "--harmonics", "3,5,7", "--init", "11,41,85",
           "--max-iter", "-3"], "max_iter"),
         (["solve", "--harmonics", "3,5,7", "--multistart",
@@ -285,7 +311,8 @@ class TestWpt:
         "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
         "synth-step-voltage-inf", "spectrum-n-max-0", "spectrum-eliminated-not-int",
         "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
-        "wpt-config-list", "solve-max-iter-negative", "multistart-max-iter-negative",
+        "wpt-config-list", "wpt-config-unknown-key", "spectrum-samples-below-thd-band",
+        "solve-max-iter-negative", "multistart-max-iter-negative",
         "multistart-over-cost-guard",
         "multistart-empty-lattice",
         "solve-tol-1", "solve-tol-inf",
@@ -299,9 +326,10 @@ def test_outside_input_exits_2_naming_the_field(tmp_path, capsys, argv, field):
     (tmp_path / "not_json.json").write_text("{L1_H: 245e-6")
     (tmp_path / "text_number.json").write_text(json.dumps(dict(link, L1_H="abc")))
     (tmp_path / "list.json").write_text(json.dumps([link]))
+    (tmp_path / "typo.json").write_text(json.dumps(dict(link, R1_Ohm=0.5)))
     paths = {
         name: str(tmp_path / f"{name}.json")
-        for name in ("missing", "not_json", "text_number", "list")
+        for name in ("missing", "not_json", "text_number", "list", "typo")
     }
     argv = [arg.format(**paths) for arg in argv]
     code, _, err = run(capsys, ["--out-dir", str(tmp_path)] + argv)

@@ -148,6 +148,14 @@ class TestTargetSet:
         with pytest.raises(ValidationError, match="orders"):
             HarmonicTargetSet((1, 3))
 
+    def test_rejects_a_fractional_order(self):
+        # int() would read 3.9 as the order 3
+        with pytest.raises(ValidationError, match=r"orders\[0\]"):
+            HarmonicTargetSet((3.9, 5, 7))
+        with pytest.raises(ValidationError, match=r"orders\[2\]"):
+            HarmonicTargetSet((3, 5, 7.5))
+        assert HarmonicTargetSet((3.0, 5, 7)).orders == (3, 5, 7)
+
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError, match="orders"):
             HarmonicTargetSet((5, 3))

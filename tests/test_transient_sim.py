@@ -279,8 +279,8 @@ class TestSimulate:
     def test_stepped_drive_switches_at_snapped_steps(
         self, table_params, spc, degrees, snapped
     ):
-        # layer i is +1 on steps [r_i, spc/2 - r_i] and -1 on
-        # [spc/2 + r_i, spc - r_i], r_i = round(theta_i * spc / 2pi); a layer
+        # layer i is +1 on steps [r_i, spc/2 - r_i) and -1 on
+        # [spc/2 + r_i, spc - r_i), r_i = round(theta_i * spc / 2pi); a layer
         # snapped to step 0 is the full square wave, + on the first half
         steps = [round(math.radians(d) * spc / (2 * math.pi)) for d in degrees]
         assert tuple(steps) == snapped
@@ -290,8 +290,8 @@ class TestSimulate:
         half = spc // 2
         expected = np.zeros(spc)
         for r in snapped:
-            expected += 100.0 * ((s >= r) & (s <= half - r) & (s < half))
-            expected -= 100.0 * ((s >= half + r) & (s <= spc - r))
+            expected += 100.0 * ((s >= r) & (s < half - r) & (s < half))
+            expected -= 100.0 * ((s >= half + r) & (s < spc - r))
         np.testing.assert_array_equal(trace.drive, expected)
 
     def test_trace_csv(self, table_params, tmp_path):
@@ -392,6 +392,19 @@ class TestSteadyState:
         assert amp / math.sqrt(2) == pytest.approx(abs(fha.I1), rel=0.02)
 
 
+def _staircase_harmonic_p_out(params, theta, step_voltage, f1, n_max=200_001):
+    # the tank is linear, so its steady state under the staircase is the sum
+    # of its odd harmonics b_n through the two meshes at n*w; the terms of
+    # P_out fall as n^-4
+    n = np.arange(1, n_max + 1, 2)
+    b = 4.0 * step_voltage / (n * math.pi) * np.cos(np.outer(n, theta)).sum(axis=1)
+    w = 2 * math.pi * f1 * n
+    z11 = params.R1 + 1j * (w * params.L1 - 1 / (w * params.C1))
+    z22 = params.R2 + params.r_ac + 1j * (w * params.L2 - 1 / (w * params.C2))
+    i2_peak = w * params.mutual * b / np.abs(z11 * z22 + (w * params.mutual) ** 2)
+    return params.r_ac * np.sum(i2_peak**2) / 2
+
+
 class TestPeriodicSteadyState:
     def test_slowly_settling_link_is_at_steady_state(self, table_params):
         # 2000 ohm DC load: rho(P)^60 = 0.23, so a 60-cycle start-up from rest
@@ -415,6 +428,29 @@ class TestPeriodicSteadyState:
         assert exact == pytest.approx(rho, rel=1e-6)
         trace = simulate(p, SquareDrive(100.0, 85e3))
         assert trace.spectral_radius == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("r_load", [5.0, 50.0, 2000.0])
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            tuple(r * 2 * math.pi / 4096 for r in (100, 300, 900)),
+            tuple(math.radians(d) for d in (11.99, 41.93, 85.67)),
+        ],
+        ids=["on-grid", "off-grid"],
+    )
+    def test_staircase_power_is_the_harmonic_sum_of_the_snapped_staircase(
+        self, table_params, angles, r_load
+    ):
+        # three cells of 100/3 V; the drive holds the staircase with its
+        # angles snapped to the 4096-step grid, so each pulse is that exact
+        # whole number of steps wide
+        p = replace(table_params, R_load_dc=r_load)
+        grid = 2 * math.pi / 4096
+        snapped = np.round(np.array(angles) / grid) * grid
+        w = synth(AngleSet(angles), 100.0 / 3, 85e3)
+        metrics = steady_state_metrics(simulate(p, w, steps_per_cycle=4096), p)
+        expected = _staircase_harmonic_p_out(p, snapped, 100.0 / 3, 85e3)
+        assert metrics.P_out == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_no_steady_state_without_loss(self, table_params):
         # a lossless tank never forgets its start: rho(P) rounds to >= 1

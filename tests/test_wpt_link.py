@@ -3,10 +3,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from shewpt import (
-    NonConvergenceError,
     SingularMatrixError,
     ValidationError,
     WptLinkParams,
@@ -34,6 +34,65 @@ def scalar_oracle_p_out(params):
     i1 = _square_fundamental_rms(params.V_dc) / (z11 + z_ref)
     i2 = 1j * w * m * i1 / z22
     return abs(i2) ** 2 * params.r_ac
+
+
+def _mesh_impedances(params):
+    w = 2 * math.pi * params.f_s
+    z11 = params.R1 + 1j * (w * params.L1 - 1 / (w * params.C1))
+    z22 = params.R2 + params.r_ac + 1j * (w * params.L2 - 1 / (w * params.C2))
+    return z11, z22, w * params.mutual
+
+
+def _cramer_mesh_solve(params, v1, v2):
+    """Both mesh currents by Cramer's rule, apart from the module's solver."""
+    z11, z22, wm = _mesh_impedances(params)
+    det = z11 * z22 + wm**2
+    return (v1 * z22 - 1j * wm * v2) / det, (z11 * v2 - 1j * wm * v1) / det
+
+
+def _drop_fundamental_rms(drop):
+    return 4.0 * drop / (math.pi * math.sqrt(2.0))
+
+
+def fixed_point_loop_p_out(params, max_iter=50):
+    """The diode-drop phase iteration fha_solve ran before its closed form.
+
+    Returns None where it has not settled after max_iter mesh solves.
+    """
+    v1 = _square_fundamental_rms(params.V_dc)
+    e = _drop_fundamental_rms(params.diode_drop)
+    _, i2 = _cramer_mesh_solve(params, v1, 0.0)
+    for _ in range(max_iter):
+        phase = i2 / abs(i2) if abs(i2) > 0 else 1.0
+        _, i2_new = _cramer_mesh_solve(params, v1, -e * phase)
+        settled = abs(i2_new - i2) < 1e-12 * max(1.0, abs(i2_new))
+        i2 = i2_new
+        if settled:
+            return abs(i2) ** 2 * params.r_ac
+    return None
+
+
+def _drop_links(count, seed=1):
+    # drop 0.01-316 V and R_load_dc 3-5,000 ohm log-uniform, k 0.05-0.6,
+    # f_s 50-120 kHz, R1 and R2 0-1 ohm, around the table link's tank
+    rng = np.random.default_rng(seed)
+    return [
+        WptLinkParams(
+            L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9,
+            k=float(rng.uniform(0.05, 0.6)),
+            R_load_dc=float(10 ** rng.uniform(math.log10(3.0), math.log10(5000.0))),
+            V_dc=100.0,
+            f_s=float(rng.uniform(50e3, 120e3)),
+            R1=float(rng.uniform(0.0, 1.0)),
+            R2=float(rng.uniform(0.0, 1.0)),
+            diode_drop=float(10 ** rng.uniform(-2.0, 2.5)),
+        )
+        for _ in range(count)
+    ]
+
+
+# the link on which the phase iteration ran out of its 50 mesh solves
+FORMER_CAP_CASE = dict(diode_drop=20.0, R_load_dc=2000.0, f_s=60e3)
 
 
 class TestHelpers:
@@ -112,6 +171,15 @@ class TestParams:
                  "R_load_ohm": 50.0, "V_dc_V": 100.0}
             )
 
+    @pytest.mark.parametrize("typo", ["R1_Ohm", "diode_drop"])
+    def test_from_config_rejects_an_unknown_key(self, typo):
+        # a misspelt key would otherwise leave its parameter at the default
+        with pytest.raises(ValidationError, match=f"^{typo}: "):
+            WptLinkParams.from_config(
+                {"L1_H": 245e-6, "C1_F": 14e-9, "k": 0.3, "R_load_ohm": 50.0,
+                 "V_dc_V": 100.0, "f_s_Hz": 85e3, typo: 0.5}
+            )
+
     def test_from_json(self, tmp_path, table_params):
         path = tmp_path / "link.json"
         path.write_text(
@@ -185,11 +253,52 @@ class TestFhaSolve:
         assert dropped < base
         assert dropped > 0.8 * base
 
-    def test_diode_drop_fixed_point_cap_raises(self, table_params):
-        # a drop this large against a light load never settles its phase
-        p = replace(table_params, diode_drop=20.0, R_load_dc=2000.0, f_s=60e3)
-        with pytest.raises(NonConvergenceError, match="diode"):
-            fha_solve(p)
+    def test_diode_drop_matches_the_phase_iteration(self):
+        settled = 0
+        for p in _drop_links(300):
+            expected = fixed_point_loop_p_out(p)
+            if expected is None:
+                continue
+            settled += 1
+            assert fha_solve(p).P_out == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert settled > 200
+
+    def test_diode_drop_current_is_a_fixed_point(self, table_params):
+        # I2 solves the mesh with the counter-emf -e I2/|I2| it implies;
+        # the bridge conducts exactly where the coupled emf beats the drop
+        links = [replace(table_params, **FORMER_CAP_CASE)] + _drop_links(300)
+        conducting = 0
+        for p in links:
+            sol = fha_solve(p)
+            z11, _, wm = _mesh_impedances(p)
+            e = _drop_fundamental_rms(p.diode_drop)
+            if wm * abs(sol.V1) <= e * abs(z11):
+                assert sol.I2 == 0 and sol.P_out == 0
+                continue
+            conducting += 1
+            i1, i2 = _cramer_mesh_solve(p, sol.V1, -e * sol.I2 / abs(sol.I2))
+            assert abs(i2 - sol.I2) <= 1e-12 * abs(i2)
+            assert abs(i1 - sol.I1) <= 1e-12 * abs(i1)
+        assert conducting > 200
+
+    def test_former_cap_case_conducts(self, table_params):
+        sol = fha_solve(replace(table_params, **FORMER_CAP_CASE))
+        assert abs(sol.I2) == pytest.approx(5.21e-3, abs=0.01e-3)
+
+    @pytest.mark.parametrize(
+        "change", [dict(k=0.0, diode_drop=1.4), dict(f_s=60e3, diode_drop=300.0)],
+        ids=["uncoupled", "large-drop"],
+    )
+    def test_blocked_bridge_carries_no_current(self, table_params, change):
+        p = replace(table_params, **change)
+        w = 2 * math.pi * p.f_s
+        z11 = 1j * (w * 245e-6 - 1 / (w * 14e-9))
+        sol = fha_solve(p)
+        assert sol.I2 == 0 and sol.P_out == 0
+        # V1/Z11 up to the rounding of the mesh solve, which is bit for bit
+        # the current of the same link uncoupled and without a drop
+        assert sol.I1 == pytest.approx(sol.V1 / z11, rel=1e-15)
+        assert sol.I1 == fha_solve(replace(p, k=0.0, diode_drop=0.0)).I1
 
     def test_results_are_python_numbers(self, table_params):
         # numpy scalars here printed as np.float64(...) in the CLI's fha line
