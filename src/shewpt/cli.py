@@ -160,9 +160,8 @@ def cmd_spectrum(args) -> int:
     eliminated = () if args.eliminated is None else _parse_list(
         args.eliminated, "eliminated", int
     )
-    spec = spec_mod.waveform_dft_spectrum(w, args.n_max, samples_per_period=args.samples)
-    report = spec_mod.thd_report(
-        w, eliminated_orders=eliminated, samples_per_period=args.samples
+    spec, report = spec_mod._spectrum_and_thd_report(
+        w, args.n_max, eliminated, args.samples
     )
     csv_path = out_dir / "spectrum.csv"
     spec_mod.spectrum_to_csv(spec, csv_path)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES_PER_PERIOD = 8192
+# orders of the THD band of thd_report
+THD_BAND_TOTAL = 999
 
 
 @dataclass(frozen=True)
@@ -144,19 +146,26 @@ def thd_total_closed_form(angle_set: AngleSet, step_voltage: float) -> float:
     return math.sqrt(max(0.0, (v_rms / v1) ** 2 - 1.0))
 
 
-def thd_report(
-    w: SteppedWaveform,
-    eliminated_orders=(),
-    band_total: int = 999,
-    samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-) -> ThdReport:
+def _band_orders(band_total: int, samples_per_period: int) -> int:
+    """Orders the THD band takes from the DFT; fewer samples than they need
+    are rejected."""
     n_max = max(21, band_total)
     if samples_per_period < 2 * n_max + 2:
         raise ValidationError(
             f"samples_per_period: {samples_per_period} too few for the "
             f"{n_max}-order THD band (Nyquist)"
         )
-    spec = waveform_dft_spectrum(w, n_max=n_max, samples_per_period=samples_per_period)
+    return n_max
+
+
+def _report_from_spectrum(
+    w: SteppedWaveform, spec: HarmonicSpectrum, eliminated_orders, band_total: int
+) -> ThdReport:
+    # only the band's orders: an eliminated order past them is out of range
+    # even when spec runs further
+    spec = HarmonicSpectrum(
+        spec.fundamental_frequency, spec.amplitudes[: max(21, band_total) + 1]
+    )
     a1 = spec.amplitude(1)
     rel = 0.0
     for n in eliminated_orders:
@@ -168,6 +177,35 @@ def thd_report(
         thd_band=thd(spec, band_total),
         eliminated_orders_max_relative=rel,
     )
+
+
+def thd_report(
+    w: SteppedWaveform,
+    eliminated_orders=(),
+    band_total: int = THD_BAND_TOTAL,
+    samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
+) -> ThdReport:
+    n_max = _band_orders(band_total, samples_per_period)
+    spec = waveform_dft_spectrum(w, n_max=n_max, samples_per_period=samples_per_period)
+    return _report_from_spectrum(w, spec, eliminated_orders, band_total)
+
+
+def _spectrum_and_thd_report(
+    w: SteppedWaveform, n_max: int, eliminated_orders, samples_per_period: int
+) -> tuple[HarmonicSpectrum, ThdReport]:
+    """waveform_dft_spectrum(w, n_max, samples_per_period) and the default
+    thd_report of w at that count, from one DFT.
+
+    The DFT runs to the larger of n_max and the band; each order's
+    amplitude is an elementwise function of its bin, so the orders up to
+    n_max are the bits a DFT to n_max gives. The inputs are checked as the
+    two calls would check them, in the same order.
+    """
+    _check_count(samples_per_period, n_max)
+    band = _band_orders(THD_BAND_TOTAL, samples_per_period)
+    spec = waveform_dft_spectrum(w, max(n_max, band), samples_per_period)
+    report = _report_from_spectrum(w, spec, eliminated_orders, THD_BAND_TOTAL)
+    return HarmonicSpectrum(spec.fundamental_frequency, spec.amplitudes[: n_max + 1]), report
 
 
 def spectrum_to_csv(spectrum: HarmonicSpectrum, path) -> None:

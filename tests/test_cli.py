@@ -8,7 +8,8 @@ import pytest
 
 from shewpt import AngleSet, synth
 from shewpt.cli import main
-from shewpt.spectrum import thd_report
+from shewpt import spectrum
+from shewpt.spectrum import spectrum_to_csv, thd_report, waveform_dft_spectrum
 from shewpt.waveform import SteppedWaveform
 
 
@@ -198,6 +199,51 @@ class TestSpectrum:
             "band_total": expected.band_total,
             "eliminated_orders_max_relative": expected.eliminated_orders_max_relative,
         }
+
+    @pytest.mark.parametrize(
+        "n_max, samples", [(21, 8192), (99, 2048), (1500, 8192), (2000, 65536)]
+    )
+    def test_one_dft_serves_both_files(self, tmp_path, capsys, monkeypatch, n_max, samples):
+        angles = (11.991979, 41.927883, 85.674771)
+        w = SteppedWaveform(AngleSet.from_degrees(angles), 500.0, 85e3)
+        expected = thd_report(w, eliminated_orders=(3, 5, 7), samples_per_period=samples)
+        spectrum_to_csv(
+            waveform_dft_spectrum(w, n_max, samples_per_period=samples),
+            tmp_path / "expected.csv",
+        )
+        calls = []
+        interval_means = spectrum.interval_mean_samples
+
+        def counted(w, count):
+            calls.append(count)
+            return interval_means(w, count)
+
+        monkeypatch.setattr(spectrum, "interval_mean_samples", counted)
+        code, _, _ = run(capsys, [
+            "--out-dir", str(tmp_path), "spectrum", "--angles-deg", ",".join(map(str, angles)),
+            "--step-voltage", "500", "--eliminated", "3,5,7", "--n-max", str(n_max),
+            "--samples", str(samples),
+        ])
+        assert code == 0
+        assert calls == [samples]
+        assert (tmp_path / "spectrum.csv").read_bytes() == (
+            tmp_path / "expected.csv").read_bytes()
+        report = json.loads((tmp_path / "thd_report.json").read_text())
+        assert (report["thd_first_21"], report["thd_band"]) == (
+            expected.thd_21, expected.thd_band)
+        assert report["eliminated_orders_max_relative"] == (
+            expected.eliminated_orders_max_relative)
+
+    def test_an_eliminated_order_past_the_band_exits_2(self, tmp_path, capsys):
+        # a spectrum to 2,000 orders still bounds the eliminated orders by
+        # the 999-order THD band
+        code, _, err = run(capsys, [
+            "--out-dir", str(tmp_path), "spectrum", "--angles-deg", "12,42,86",
+            "--step-voltage", "500", "--eliminated", "3,1001", "--n-max", "2000",
+            "--samples", "65536",
+        ])
+        assert code == 2
+        assert "n: 1001 outside 1..999" in err
 
     def test_missing_angles_exit_2(self, tmp_path, capsys):
         # --angles-deg and --step-voltage are required: argparse exits 2

@@ -102,6 +102,44 @@ def _outcome(solve, *args):
     return ("ok", out.angle_set.angles, out.residual_norm, out.iterations)
 
 
+def _row_outcome(theta, norm, status, it, max_iter=60):
+    """_outcome's record of one _newton_batch row, as solve_newton reports it."""
+    if status == she_solver.CONVERGED:
+        return ("ok", tuple(np.sort(theta)), norm, it)
+    if status == she_solver.SINGULAR:
+        return ("SingularMatrixError", f"Jacobian numerically singular at iteration {it}")
+    if status == she_solver.DIVERGED:
+        return ("DivergenceError",
+                f"iterate left (0, pi/2) after full damping at iteration {it}")
+    if it < max_iter:
+        message = "no residual decrease after 30 halvings"
+    else:
+        message = f"max_iter={max_iter} exceeded (best residual norm {norm:.3e})"
+    return ("NonConvergenceError", message, tuple(np.sort(theta)), norm, it)
+
+
+HALF_PI = math.pi / 2
+# one ulp of room at each bound of the box
+ULP_ABOVE_ZERO = np.nextafter(0.0, 1.0)
+ULP_BELOW_HALF_PI = np.nextafter(HALF_PI, 0.0)
+
+
+def _first_inside_halvings(theta, step):
+    """Every one of the 31 scales 1, 1/2, ..., 2^-30 tried: the halvings of
+    the first whose candidate is inside (0, pi/2), or None."""
+    first = None
+    scale = 1.0
+    for j in range(31):
+        cand = theta + scale * step
+        inside = bool(np.all(cand > 0.0) and np.all(cand < HALF_PI))
+        # once inside, every smaller scale is inside too
+        assert inside or first is None
+        if first is None and inside:
+            first = j
+        scale *= 0.5
+    return first
+
+
 def _lattice_seeds(k, step_deg=5.0):
     values = np.radians(np.arange(1, int(math.ceil(90.0 / step_deg))) * step_deg)
     return list(combinations(values, k))
@@ -305,6 +343,66 @@ class TestNewton:
         theta = (0.3, 0.3 + gap, 1.0)
         got = _outcome(solve_newton, AngleSet(theta), targets_3)
         assert got == _outcome(_reference_newton, np.array(theta), targets_3.as_array())
+
+    @pytest.mark.parametrize(
+        "angle, direction",
+        [
+            (1.0, 1.0),  # pi/2 - 1 is exact (Sterbenz)
+            (0.3, 1.0),  # pi/2 - 0.3 is rounded
+            (ULP_BELOW_HALF_PI, 1.0),
+            (1.0, -1.0),
+            (0.3, -1.0),
+            (1e-3, -1.0),
+            (ULP_ABOVE_ZERO, -1.0),
+        ],
+    )
+    def test_box_jump_never_passes_the_first_inside_scale(self, angle, direction):
+        # |step| / room is 2^e exactly or one ulp either side, beside a zero
+        # and a small negative component; the jump bound must not pass the
+        # first scale a scan of all 31 finds inside
+        room = HALF_PI - angle if direction > 0 else angle
+        for e in (-2, 0, 1, 2, 5, 20, 29, 30, 31, 40, 60):
+            exact = direction * math.ldexp(room, e)
+            for lead in (exact, np.nextafter(exact, 0.0),
+                         np.nextafter(exact, direction * math.inf)):
+                for theta, step in (
+                    ([angle, 0.7, 0.2], [lead, 0.0, -1e-3]),
+                    ([0.2, angle, 0.7], [-1e-3, lead, -0.35]),
+                ):
+                    theta, step = np.array(theta), np.array(step)
+                    bound = int(she_solver._halvings_to_box(theta[None], step[None])[0])
+                    first = _first_inside_halvings(theta, step)
+                    if first is not None:
+                        assert bound <= first, (e, lead)
+                    if lead == exact and 1 <= e <= 28:
+                        # the candidate at 2^-e lands on the bound, outside;
+                        # with one ulp of room, so may a half-ulp move
+                        assert bound == e and first in (e + 1, e + 2)
+
+    def test_a_seed_with_no_inside_scale_retires_diverged(self, targets_3):
+        # at (0.3, 0.3 + 1e-11, 1.0) the step is about 2e9 rad, so no scale
+        # down to 2^-30 stays inside; the jump retires it in the first pass
+        # while the lattice seeds batched with it run on
+        seeds = np.array([(0.3, 0.3 + 1e-11, 1.0), *_lattice_seeds(3)[::97]])
+        theta, step = seeds[:1], np.array([[-2.15e9, 2.15e9, -1.8e-2]])
+        assert she_solver._halvings_to_box(theta, step)[0] > 30
+        orders = targets_3.as_array()
+        got = she_solver._newton_batch(seeds, orders, 1e-12, 60)
+        assert (got[2][0], got[3][0]) == (she_solver.DIVERGED, 0)
+        want = [_outcome(_reference_newton, seed, orders) for seed in seeds]
+        assert [_row_outcome(*row) for row in zip(*got)] == want
+
+    @pytest.mark.parametrize("orders", [(3, 5, 7, 9), (5, 7, 11, 13)])
+    def test_four_level_lattice_sample_matches_the_scalar_reference(self, orders):
+        # every 10th of the 2,380 seeds of the 5 deg lattice, iterated as one
+        # batch, against the scalar loop seed by seed, bit for bit
+        seeds = np.array(_lattice_seeds(len(orders))[::10])
+        arr = np.asarray(orders, dtype=float)
+        got = [_row_outcome(*row) for row in zip(*she_solver._newton_batch(
+            seeds, arr, 1e-12, 60))]
+        want = [_outcome(_reference_newton, seed, arr) for seed in seeds]
+        assert {o[0] for o in want} >= {"ok", "DivergenceError", "NonConvergenceError"}
+        assert got == want
 
 
 class TestMultistart:

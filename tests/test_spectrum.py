@@ -89,6 +89,18 @@ class TestWaveformSpectrum:
             even_energy = sum(spec.amplitude(n) ** 2 for n in range(2, 100, 2))
             assert even_energy < 1e-12 * fund_energy
 
+    @pytest.mark.parametrize("count", [2048, 8192, 65536])
+    def test_leading_orders_do_not_depend_on_how_many_are_taken(
+        self, waveform_3, waveform_4, count
+    ):
+        # the spectrum CLI takes one DFT to the THD band and writes its first
+        # n_max orders; they must be the bits of a DFT taken to n_max
+        for w in (waveform_3, waveform_4):
+            full = waveform_dft_spectrum(w, count // 2 - 1, samples_per_period=count)
+            for n_max in (1, 2, 21, 99, 500, 999, count // 2 - 2):
+                part = waveform_dft_spectrum(w, n_max, samples_per_period=count)
+                assert np.array_equal(part.amplitudes, full.amplitudes[: n_max + 1])
+
     def test_cosine_components_vanish(self, waveform_3):
         # corrected bins of the sampled staircase must be purely imaginary
         count = 8192
