@@ -36,10 +36,11 @@ def _tank_equations(params, r_ac):
     return a, b
 
 
-def _sequential_cycle(params, drive_samples, dt, r_ac):
+def _sequential_cycle(params, drive_samples, dt, r_ac, initial_state=None):
     # the per-step loop that built the within-cycle propagators before the
     # log-depth scan: x_s = pow[s] @ x_0 + conv[s], one RK4 step at a time;
-    # returns the periodic steady-state cycle and the spectral radius of P
+    # returns the cycle from initial_state, else the periodic steady-state
+    # cycle, and the spectral radius of P
     a, b = _tank_equations(params, r_ac)
     ah = a * dt
     ah2 = ah @ ah
@@ -56,7 +57,10 @@ def _sequential_cycle(params, drive_samples, dt, r_ac):
         conv[s + 1] = phi @ conv[s] + gamma * drive_samples[s]
     p, q = pow_mats[-1], conv[-1]
     rho = float(np.max(np.abs(np.linalg.eigvals(p))))
-    x = np.linalg.solve(eye - p, q)
+    if initial_state is None:
+        x = np.linalg.solve(eye - p, q)
+    else:
+        x = np.asarray(initial_state, dtype=float)
     return np.einsum("sij,j->si", pow_mats, x) + conv, rho
 
 
@@ -231,6 +235,26 @@ class TestSimulate:
         p = replace(table_params, f_s=100.0)
         with pytest.raises(DivergenceError):
             simulate(p, SquareDrive(100.0, 100.0), steps_per_cycle=512)
+
+    @pytest.mark.parametrize(
+        "initial, step", [((2e9, 0.0, 0.0, 0.0), 0), ((1e7, 0.0, 0.0, 0.0), 563)]
+    )
+    def test_state_magnitude_names_the_first_step_past_1e9(
+        self, table_params, initial, step
+    ):
+        # the propagator is finite; the states from this start leave 1e9 at
+        # the step that the sequential loop above also finds first
+        drive, spc = SquareDrive(100.0, 85e3), 4096
+        v, freq, _ = transient_sim._drive_samples(drive, spc)
+        states, _ = _sequential_cycle(
+            table_params, v, 1.0 / (freq * spc), table_params.r_ac, initial
+        )
+        assert np.isfinite(states).all()
+        assert int(np.argmax(np.abs(states).max(axis=1) > 1e9)) == step
+        with pytest.raises(
+            DivergenceError, match=rf"^state magnitude exceeded 1e9 at step {step}$"
+        ):
+            simulate(table_params, drive, steps_per_cycle=spc, initial_state=initial)
 
     def test_lossless_energy_conservation(self, table_params):
         # eleven free cycles, each started from the last state of the one before

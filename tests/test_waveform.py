@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shewpt import (
     synth,
     total_rms,
 )
+from shewpt import waveform
 from shewpt.waveform import interval_mean_samples, waveform_to_csv
 
 DEG = math.pi / 180.0
@@ -258,6 +260,86 @@ class TestAngleIntegral:
             value = waveform_3.angle_integral(float(p))
             assert type(value) is float
             assert value == float(_six_quarter_angle_integral(waveform_3, p))
+
+
+def _mod_fold(phase):
+    # the half-wave fold as np.mod writes it: wrap into [0, 2 pi), then
+    # split the half period and mirror about pi/2
+    phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
+    first = phase < math.pi
+    half = np.where(first, phase, phase - math.pi)
+    return first, half, np.minimum(half, math.pi - half)
+
+
+def _fold_warnings(fold, phase):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fold(phase)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_folds_like_mod(phase):
+    # values, sign bits (NaN payloads too), shapes, dtypes and warnings
+    got, got_warnings = _fold_warnings(waveform._fold, phase)
+    want, want_warnings = _fold_warnings(_mod_fold, phase)
+    assert got_warnings == want_warnings
+    for g, w in zip(got, want):
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()
+
+
+TWO_PI = 2 * math.pi
+FOUR_PI = 4 * math.pi
+
+
+class TestFold:
+    def test_empty_and_zero_d(self):
+        _assert_folds_like_mod(np.array([]))
+        _assert_folds_like_mod(np.empty((0, 3)))
+        for x in (0.0, -0.0, 1.0, 7.0, -1.0, 20.0, math.nan, math.inf):
+            _assert_folds_like_mod(x)
+            _assert_folds_like_mod(np.float64(x))
+
+    def test_edge_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        specials = [
+            0.0, -0.0, tiny, math.pi, np.nextafter(TWO_PI, 0.0), TWO_PI,
+            np.nextafter(TWO_PI, 8.0), 3 * math.pi, np.nextafter(FOUR_PI, 0.0),
+            FOUR_PI, np.nextafter(FOUR_PI, 8.0), -tiny, -1e-300, -1e-17, -1.0,
+            -TWO_PI, 1e300,
+        ]
+        for x in specials:
+            _assert_folds_like_mod(np.array([x]))
+            _assert_folds_like_mod(np.array([1.0, x, 2.0]))
+        _assert_folds_like_mod(np.array(specials))
+        # -0.0 and values just under 2 pi in an all-in-range array; the fold
+        # of -0.0 is +0.0, as np.mod gives
+        _assert_folds_like_mod(np.array([-0.0, 0.0, np.nextafter(TWO_PI, 0.0)]))
+        assert not np.signbit(waveform._fold(np.array([-0.0]))[1][0])
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 512, 4096, 8192, 65536])
+    def test_period_grids(self, n):
+        grid = TWO_PI / n
+        _assert_folds_like_mod(np.linspace(0.0, TWO_PI, n + 1))
+        _assert_folds_like_mod((np.arange(n) + 0.5) * grid)  # drive midpoints
+        _assert_folds_like_mod(np.arange(2 * n + 1) * grid)  # two periods
+
+    def test_random_phases(self):
+        rng = np.random.default_rng(13)
+        for lo, hi in ((0.0, FOUR_PI), (0.0, TWO_PI), (TWO_PI, FOUR_PI), (-20.0, 20.0),
+                       (-1e-12, 1.0), (FOUR_PI - 1e-12, FOUR_PI + 1.0)):
+            _assert_folds_like_mod(rng.uniform(lo, hi, 10_000))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite(self, bad):
+        _assert_folds_like_mod(np.array([bad]))
+        _assert_folds_like_mod(np.array([0.5, bad, 7.0]))
+        _assert_folds_like_mod(np.array([math.nan, math.inf, -math.inf, 1.0]))
+
+    def test_empty_time_and_phase_arrays(self, waveform_3):
+        for out in (waveform_3.sample_at(np.array([])), waveform_3.angle_integral(np.array([]))):
+            assert isinstance(out, np.ndarray)
+            assert (out.shape, out.dtype) == ((0,), np.float64)
 
 
 class TestScaling:
