@@ -197,14 +197,15 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
         while True:
             inside = ((cand > 0.0) & (cand < half_pi)).all(axis=1)
             tried, cand = pending[inside], cand[inside]
-            inside_seen[tried] = True
-            cand_res = _residual_raw(cand, orders)
-            cand_norm = np.abs(cand_res).max(axis=1)
-            better = cand_norm < norm[active[tried]]
-            took = active[tried[better]]
-            theta[took], res[took] = cand[better], cand_res[better]
-            norm[took] = cand_norm[better]
-            accepted[tried[better]] = True
+            if len(tried):  # else every candidate left the box: nothing to evaluate
+                inside_seen[tried] = True
+                cand_res = _residual_raw(cand, orders)
+                cand_norm = np.abs(cand_res).max(axis=1)
+                better = cand_norm < norm[active[tried]]
+                took = active[tried[better]]
+                theta[took], res[took] = cand[better], cand_res[better]
+                norm[took] = cand_norm[better]
+                accepted[tried[better]] = True
             if not inside.all():
                 # max(j + 1, bound) once the halving below is added
                 out = pending[~inside]

@@ -66,8 +66,21 @@ class AngleSet:
 
 def _fold(phase):
     """``(first, half, fold)``: is ``phase`` in the first half period, its angle
-    within the half period, and that angle mirrored about pi/2 into [0, pi/2]."""
-    phase = np.mod(np.asarray(phase, dtype=float), 2 * math.pi)
+    within the half period, and that angle mirrored about pi/2 into [0, pi/2].
+
+    The wrap into [0, 2 pi) is np.mod(phase, 2 pi) bit for bit. When every
+    phase is in [0, 4 pi) it takes one subtraction instead: there the fmod
+    that np.mod rests on is exact, so it returns x on [0, 2 pi) and x - 2 pi
+    on [2 pi, 4 pi), and the float subtraction x - 2 pi is exact as well
+    (Sterbenz lemma: 2 pi <= x <= 2 * 2 pi); ``+ 0.0`` turns -0.0 into the
+    +0.0 that np.mod gives a zero remainder. Any other input, an empty
+    array, NaN and +-inf included, goes through np.mod itself.
+    """
+    phase, two_pi = np.asarray(phase, dtype=float), 2 * math.pi
+    if phase.size and 0.0 <= phase.min() and phase.max() < 2 * two_pi:
+        phase = np.where(phase >= two_pi, phase - two_pi, phase + 0.0)
+    else:
+        phase = np.mod(phase, two_pi)
     first = phase < math.pi
     # np.mod(phase, pi) without a second divmod: phase - pi is exact on
     # [pi, 2 pi] (Sterbenz lemma)

@@ -392,6 +392,24 @@ class TestNewton:
         want = [_outcome(_reference_newton, seed, orders) for seed in seeds]
         assert [_row_outcome(*row) for row in zip(*got)] == want
 
+    def test_takes_no_residual_of_zero_rows(self, targets_3, monkeypatch):
+        # a damping pass in which every pending candidate left the box has
+        # nothing to evaluate; the lone far-out seed retires in such a pass,
+        # and the lattice has about 100 of them
+        rows = []
+        residual = she_solver._residual_raw
+
+        def counted(theta, orders):
+            rows.append(len(theta))
+            return residual(theta, orders)
+
+        monkeypatch.setattr(she_solver, "_residual_raw", counted)
+        orders = targets_3.as_array()
+        got = she_solver._newton_batch(np.array([(0.3, 0.3 + 1e-11, 1.0)]), orders, 1e-12, 60)
+        assert (got[2][0], got[3][0]) == (she_solver.DIVERGED, 0)
+        she_solver._newton_batch(np.array(_lattice_seeds(3)), orders, 1e-12, 60)
+        assert len(rows) > 2 and min(rows) > 0
+
     @pytest.mark.parametrize("orders", [(3, 5, 7, 9), (5, 7, 11, 13)])
     def test_four_level_lattice_sample_matches_the_scalar_reference(self, orders):
         # every 10th of the 2,380 seeds of the 5 deg lattice, iterated as one
