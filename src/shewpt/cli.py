@@ -86,11 +86,11 @@ def _parse_list(text: str, name: str, kind) -> tuple:
         ) from exc
 
 
-def _write_solution_files(solutions, targets, out_dir: Path, stem: str) -> str:
+def _write_solution_files(solutions, targets, out_dir: Path) -> str:
     for idx, sol in enumerate(solutions):
         degrees = sol.angle_set.to_degrees()
         _write_csv(
-            out_dir / f"{stem}_{idx}.csv", ["theta_index", "theta_deg"],
+            out_dir / f"she_solution_{idx}.csv", ["theta_index", "theta_deg"],
             range(1, len(degrees) + 1), degrees,
         )
     report = {
@@ -104,7 +104,7 @@ def _write_solution_files(solutions, targets, out_dir: Path, stem: str) -> str:
             for sol in solutions
         ],
     }
-    json_path = out_dir / f"{stem}.json"
+    json_path = out_dir / "she_solution.json"
     write_json(report, json_path)
     write_meta_sidecar(json_path)
     return str(json_path)
@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
         solutions = [
             she_solver.solve_newton(init, targets, tol=args.tol, max_iter=args.max_iter)
         ]
-    json_path = _write_solution_files(solutions, targets, out_dir, "she_solution")
+    json_path = _write_solution_files(solutions, targets, out_dir)
     for sol in solutions:
         degs = ", ".join(f"{d:.4f}" for d in sol.angle_set.to_degrees())
         print(f"angles_deg: [{degs}]  residual_norm: {sol.residual_norm:.3e}")
@@ -146,7 +146,7 @@ def cmd_synth(args) -> int:
     csv_path = out_dir / "waveform.csv"
     t, v = waveform.waveform_to_csv(w, csv_path, samples=args.samples)
     svg_path = out_dir / "waveform.svg"
-    waveform_svg(t, v, svg_path, title="multilevel output voltage")
+    waveform_svg(t, v, svg_path)
     print(f"waveform: {csv_path}")
     print(f"plot: {svg_path}")
     print(f"peak_V: {w.peak}")
@@ -167,12 +167,7 @@ def cmd_spectrum(args) -> int:
     spec_mod.spectrum_to_csv(spec, csv_path)
     svg_path = out_dir / "spectrum.svg"
     orders = range(1, args.n_max + 1)
-    spectrum_svg(
-        orders,
-        spec.amplitudes[1:] / spec.amplitudes[1],
-        svg_path,
-        title="harmonic amplitudes relative to fundamental",
-    )
+    spectrum_svg(orders, spec.amplitudes[1:] / spec.amplitudes[1], svg_path)
     json_path = out_dir / "thd_report.json"
     write_json(
         {

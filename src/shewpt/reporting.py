@@ -131,7 +131,7 @@ def _svg_header():
     )
 
 
-def waveform_svg(t, v, path, title="waveform") -> None:
+def waveform_svg(t, v, path) -> None:
     """Polyline plot of one waveform period, a vertex at each end of a run of equal v."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     t = np.asarray(t, dtype=float)
@@ -153,13 +153,13 @@ def waveform_svg(t, v, path, title="waveform") -> None:
         f'<polyline points="{points}" fill="none" stroke="#0055aa" '
         f'stroke-width="1.5"/>\n'
     )
-    parts.append(f'<text x="{pad}" y="20" font-size="14">{title}</text>\n')
+    parts.append(f'<text x="{pad}" y="20" font-size="14">multilevel output voltage</text>\n')
     parts.append("</svg>\n")
     with open(path, "w") as fh:
         fh.write("".join(parts))
 
 
-def spectrum_svg(orders, rel_amplitudes, path, title="harmonic spectrum") -> None:
+def spectrum_svg(orders, rel_amplitudes, path) -> None:
     """Bar chart of harmonic amplitudes relative to the fundamental."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     orders = list(orders)
@@ -180,6 +180,7 @@ def spectrum_svg(orders, rel_amplitudes, path, title="harmonic spectrum") -> Non
                 f'<text x="{x0 + 0.5 * bar_w:.2f}" y="{height - pad + 14}" '
                 f'font-size="10" text-anchor="middle">{n}</text>\n'
             )
+    title = "harmonic amplitudes relative to fundamental"
     parts.append(f'<text x="{pad}" y="20" font-size="14">{title}</text>\n')
     parts.append("</svg>\n")
     with open(path, "w") as fh:

@@ -131,7 +131,8 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     """Damped Newton iteration of every row of ``theta0`` (S, K) at once.
 
     Each iteration solves the active seeds' Newton systems as one stack.
-    A seed whose Jacobian is not finite or has a condition number above
+    Seeds and accepted iterates lie inside (0, pi/2), so every Jacobian is
+    finite; a seed whose Jacobian has a condition number above
     CONDITION_LIMIT retires as SINGULAR. Otherwise its step is scaled by
     1, 1/2, 1/4, ... (MAX_STEP_HALVINGS halvings) until the iterate stays
     inside (0, pi/2) and the residual infinity-norm strictly decreases;
@@ -175,11 +176,9 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
         iters[active[done]] = it
         active = active[~done]
         jac = _jacobian_raw(theta[active], orders)
-        singular = ~np.isfinite(jac).all(axis=(1, 2))
-        finite = np.flatnonzero(~singular)
-        near = finite[np.linalg.cond(jac[finite], "fro") > CONDITION_LIMIT / 2]
-        if len(near):
-            singular[near] = np.linalg.cond(jac[near]) > CONDITION_LIMIT
+        singular = np.linalg.cond(jac, "fro") > CONDITION_LIMIT / 2
+        if singular.any():
+            singular[singular] = np.linalg.cond(jac[singular]) > CONDITION_LIMIT
         status[active[singular]] = SINGULAR
         iters[active[singular]] = it
         active, jac = active[~singular], jac[~singular]

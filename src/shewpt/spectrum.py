@@ -126,6 +126,8 @@ def waveform_dft_spectrum(
 
 def thd(spectrum: HarmonicSpectrum, n_max: int) -> float:
     """sqrt(sum of A_n^2 for n=2..n_max) / A_1."""
+    if n_max < 1:
+        raise ValidationError(f"n_max: {n_max!r} must be >= 1")
     if n_max > spectrum.n_max:
         raise ValidationError(
             f"n_max: {n_max} beyond spectrum coverage {spectrum.n_max}"

@@ -108,10 +108,10 @@ def _inverse_inductance(params: WptLinkParams) -> np.ndarray:
     return np.linalg.inv(np.array([[params.L1, m], [m, params.L2]]))
 
 
-def _system_matrices(params: WptLinkParams, r_ac: float):
+def _system_matrices(params: WptLinkParams):
     l_inv = _inverse_inductance(params)
     a = np.zeros((4, 4))
-    a[0:2, 0:2] = l_inv @ np.diag([-params.R1, -(params.R2 + r_ac)])
+    a[0:2, 0:2] = l_inv @ np.diag([-params.R1, -(params.R2 + params.r_ac)])
     a[0:2, 2:4] = -l_inv
     a[2, 0] = 1.0 / params.C1
     a[3, 1] = 1.0 / params.C2
@@ -147,21 +147,21 @@ def simulate(
     params: WptLinkParams,
     drive,
     steps_per_cycle: int = 4096,
-    r_ac: float | None = None,
     initial_state: np.ndarray | None = None,
 ) -> TransientTrace:
     """One drive cycle from ``initial_state``, else from the periodic steady state.
 
+    The load is ``params.r_ac``; ``steps_per_cycle`` is an integer power of two.
     ``initial_state`` is a state row (i1, i2, vC1, vC2) of four finite values.
     Raises DivergenceError when the cycle propagator or a state is not
     finite or exceeds 1e9 (naming the first such step: one reduction checks
     the whole cycle, and only a failing one is scanned step by step), and,
     for the steady state, when the propagator's spectral radius is >= 1 (a
-    lossless tank rounds to that). ``r_ac`` defaults to the FHA equivalent
-    load of the DC load.
+    lossless tank rounds to that).
     """
     if (
-        not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
+        not isinstance(steps_per_cycle, (int, np.integer))
+        or not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
         or steps_per_cycle & (steps_per_cycle - 1)
     ):
         raise ValidationError(
@@ -172,12 +172,10 @@ def simulate(
         initial_state = np.asarray(initial_state, dtype=float)
         if initial_state.shape != (4,) or not np.isfinite(initial_state).all():
             raise ValidationError("initial_state: must be four finite values")
-    if r_ac is None:
-        r_ac = params.r_ac
     v_cycle, freq, snap_err = _drive_samples(drive, steps_per_cycle)
     dt = 1.0 / (freq * steps_per_cycle)
 
-    a, b = _system_matrices(params, r_ac)
+    a, b = _system_matrices(params)
     ah = a * dt
     ah2 = ah @ ah
     eye = np.eye(4)
@@ -222,7 +220,7 @@ def simulate(
         states=states,
         drive=v_cycle,
         steps_per_cycle=steps_per_cycle,
-        r_ac=r_ac,
+        r_ac=params.r_ac,
         spectral_radius=rho,
         angle_snap_error_rad=snap_err,
     )

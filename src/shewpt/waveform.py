@@ -158,7 +158,7 @@ def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.n
 
 def harmonic_amplitude(angle_set: AngleSet, step_voltage: float, n: int) -> float:
     """Peak amplitude of the n-th sine harmonic; exactly 0 for even n."""
-    if n < 1 or int(n) != n:
+    if not 1 <= n < math.inf or int(n) != n:  # nan fails the range too
         raise ValidationError(f"n: {n!r} must be a positive integer")
     return float(_harmonic_amplitudes(angle_set.as_array(), step_voltage, [n])[0])
 

@@ -171,7 +171,7 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
 
 
 def power_scaling_check(params: WptLinkParams, V_dc_a: float, V_dc_b: float) -> float:
-    """P_out(V_dc_b) / P_out(V_dc_a); exactly (V_dc_b/V_dc_a)^2 in this model."""
+    """P_out(V_dc_b) / P_out(V_dc_a); (V_dc_b/V_dc_a)^2 only without a diode drop."""
     p_a = fha_solve(replace(params, V_dc=V_dc_a)).P_out
     p_b = fha_solve(replace(params, V_dc=V_dc_b)).P_out
     if p_a == 0.0:

@@ -83,6 +83,28 @@ class TestSolve:
         assert code == 3
         assert "solver failure" in err
 
+    def test_neither_init_nor_multistart_exits_2(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, ["--out-dir", str(tmp_path), "solve", "--harmonics", "3,5,7"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: init: required unless --multistart is given\n"
+
+    def test_multistart_without_roots_exits_3(self, tmp_path, capsys):
+        # one Newton step reaches no root of (5, 7, 11) from the 5 degree lattice
+        code, out, err = run(
+            capsys,
+            [
+                "--out-dir", str(tmp_path), "solve", "--harmonics", "5,7,11",
+                "--multistart", "--max-iter", "1",
+            ],
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "no solutions found by multistart\n"
+        assert not (tmp_path / "she_solution.json").exists()
+
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SHEWPT_OUTDIR", str(tmp_path))
         code, _, _ = run(capsys, ["solve", "--harmonics", "3", "--init", "25"])

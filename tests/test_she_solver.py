@@ -182,6 +182,12 @@ class TestTargetSet:
         with pytest.raises(ValidationError, match="orders"):
             HarmonicTargetSet((3, 4))
 
+    def test_rejects_no_orders(self):
+        with pytest.raises(
+            ValidationError, match="^orders: at least one harmonic order required$"
+        ):
+            HarmonicTargetSet(())
+
     def test_rejects_fundamental(self):
         with pytest.raises(ValidationError, match="orders"):
             HarmonicTargetSet((1, 3))

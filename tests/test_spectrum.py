@@ -159,6 +159,19 @@ class TestThd:
         assert closed - values[-1] < 0.002
         assert values[-1] <= closed + 1e-12
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_fewer_than_one_order(self, waveform_3, n_max):
+        # thd(spec, -3) took the slice [2:-2], the orders 2..18 of a 21-order
+        # spectrum (0.154), and thd(spec, 0) returned 0.0
+        spec = waveform_dft_spectrum(waveform_3, 21)
+        with pytest.raises(ValidationError, match=rf"^n_max: {n_max} must be >= 1$"):
+            thd(spec, n_max)
+
+    def test_rejects_orders_past_the_coverage(self, waveform_3):
+        spec = waveform_dft_spectrum(waveform_3, 21)
+        with pytest.raises(ValidationError, match="^n_max: 22 beyond spectrum coverage 21$"):
+            thd(spec, 22)
+
 
 class TestThdClosedForm:
     def test_three_level(self, solution_3):

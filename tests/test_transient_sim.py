@@ -137,6 +137,16 @@ class TestSimulate:
             with pytest.raises(ValidationError, match="initial_state"):
                 simulate(table_params, drive, initial_state=initial)
 
+    @pytest.mark.parametrize(
+        "spc", [4096.0, np.float64(4096.0)], ids=["float", "float64"]
+    )
+    def test_rejects_a_float_step_count(self, table_params, spc):
+        # the power-of-two test raised TypeError from & on a float
+        drive = SquareDrive(100.0, 85e3)
+        with pytest.raises(ValidationError, match=r"^steps_per_cycle: \S*4096\.0\S* must be"):
+            simulate(table_params, drive, steps_per_cycle=spc)
+        assert simulate(table_params, drive, steps_per_cycle=np.int64(512)).drive.size == 512
+
     def test_square_drive_rejects_a_non_finite_amplitude(self):
         # an infinite amplitude was accepted and surfaced from simulate as a
         # propagator that is not finite
@@ -144,6 +154,10 @@ class TestSimulate:
             with pytest.raises(ValidationError, match="amplitude"):
                 SquareDrive(amplitude, 85e3)
         assert SquareDrive(0.0, 85e3).amplitude == 0.0
+
+    def test_square_drive_rejects_a_zero_frequency(self):
+        with pytest.raises(ValidationError, match="^frequency: 0.0 must be finite and > 0$"):
+            SquareDrive(1.0, 0.0)
 
     def test_cost_guard(self, table_params, monkeypatch):
         # 2**20 steps is a 128 MiB propagator stack; a longer cycle is
@@ -257,8 +271,9 @@ class TestSimulate:
             simulate(table_params, drive, steps_per_cycle=spc, initial_state=initial)
 
     def test_lossless_energy_conservation(self, table_params):
-        # eleven free cycles, each started from the last state of the one before
-        p = table_params
+        # eleven free cycles, each started from the last state of the one before;
+        # the smallest load rounds its r_ac * dt terms to the lossless tank's 0
+        p = replace(table_params, R_load_dc=math.ulp(0.0))
 
         def energy(x):
             i1, i2, vc1, vc2 = x
@@ -277,7 +292,6 @@ class TestSimulate:
                 p,
                 SquareDrive(0.0, 85e3),
                 steps_per_cycle=2048,
-                r_ac=0.0,
                 initial_state=state,
             )
             state = trace.states[-1]
@@ -478,14 +492,16 @@ class TestPeriodicSteadyState:
 
     def test_no_steady_state_without_loss(self, table_params):
         # a lossless tank never forgets its start: rho(P) rounds to >= 1
+        lossless = replace(table_params, R_load_dc=math.ulp(0.0))
         with pytest.raises(DivergenceError, match="spectral radius"):
-            simulate(table_params, SquareDrive(100.0, 85e3), r_ac=0.0)
+            simulate(lossless, SquareDrive(100.0, 85e3))
 
     def test_metrics_use_the_simulated_load(self, table_params):
         # lossless coils: at steady state the load takes all the input power,
-        # which holds only if P_out uses the r_ac the tank was integrated with
-        r_ac = 2.0 * table_params.r_ac
-        trace = simulate(table_params, SquareDrive(100.0, 85e3), r_ac=r_ac)
-        assert trace.r_ac == r_ac
+        # which holds only if P_out uses the r_ac the tank was integrated with,
+        # not the r_ac of the params the metrics are given
+        doubled = replace(table_params, R_load_dc=2.0 * table_params.R_load_dc)
+        trace = simulate(doubled, SquareDrive(100.0, 85e3))
+        assert trace.r_ac == doubled.r_ac
         metrics = steady_state_metrics(trace, table_params)
         assert metrics.P_out == pytest.approx(metrics.P_in_fundamental_cycle, rel=1e-3)

@@ -137,6 +137,12 @@ class TestHarmonicAmplitude:
         with pytest.raises(ValidationError, match="n"):
             harmonic_amplitude(solution_3.angle_set, 500.0, 0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rejects_a_non_finite_order(self, solution_3, n):
+        # int(n) raised ValueError for nan and OverflowError for inf
+        with pytest.raises(ValidationError, match=r"^n: .* must be a positive integer$"):
+            harmonic_amplitude(solution_3.angle_set, 500.0, n)
+
     def test_positive_fundamental(self):
         for degs in ([5, 30, 80], [1, 2, 3], [44, 45, 46, 47]):
             assert harmonic_amplitude(AngleSet.from_degrees(degs), 10.0, 1) > 0
@@ -197,6 +203,10 @@ class TestIntegralOracles:
     def test_interval_means_preserve_mean(self, waveform_3):
         means = interval_mean_samples(waveform_3, 4096)
         assert abs(np.mean(means)) < 1e-9
+
+    def test_interval_means_reject_fewer_than_two(self, waveform_3):
+        with pytest.raises(ValidationError, match="^count: 1 must be >= 2$"):
+            interval_mean_samples(waveform_3, 1)
 
 
 def _six_quarter_angle_integral(w, phase):

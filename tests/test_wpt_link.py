@@ -346,6 +346,13 @@ class TestPowerScaling:
     def test_unity(self, table_params):
         assert power_scaling_check(table_params, 120.0, 120.0) == pytest.approx(1.0)
 
+    def test_a_diode_drop_lifts_the_ratio_above_the_square(self, table_params):
+        # the fixed drop takes a larger share of the power at 100 V than at 150 V
+        assert abs(power_scaling_check(table_params, 100.0, 150.0) - 2.25) <= 1e-12
+        ratio = power_scaling_check(replace(table_params, diode_drop=1.4), 100.0, 150.0)
+        assert ratio > 2.25
+        assert ratio == pytest.approx(2.250109554726176, rel=1e-9)
+
     def test_zero_base_rejected(self, table_params):
         with pytest.raises(ValidationError, match="V_dc_a"):
             power_scaling_check(replace(table_params, k=0.0), 100.0, 150.0)
