@@ -303,6 +303,8 @@ REPRODUCE_CASES = {
 
 def cmd_reproduce(args) -> int:
     out_dir = _out_dir(args)
+    # checked for every case, though only the wpt cases simulate
+    transient_sim._check_steps_per_cycle(args.steps_per_cycle)
     cases = list(REPRODUCE_CASES) if args.case == "all" else [args.case]
     reports = [REPRODUCE_CASES[case](case, args.steps_per_cycle) for case in cases]
     consolidated = {

@@ -149,12 +149,15 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     grows, and once a scale is inside every smaller one is: the test is a
     threshold on j, and no residual is taken at a skipped scale.
 
-    The condition guard is screened: cond_2 <= cond_F because the spectral
-    norm is at most the Frobenius norm (Golub & Van Loan, Matrix
-    Computations, sec. 2.3), and cond_F takes one batched inverse where
-    cond_2 takes an SVD. Only the seeds with cond_F above CONDITION_LIMIT / 2
-    get the exact cond_2, so every retire decision is the one cond_2 alone
-    makes; the factor 2 covers the rounding of both near the limit.
+    The condition guard is screened without an inverse: with singular
+    values s_1 >= ... >= s_K, cond_2 = s_1 / s_K <= s_1^K / |det J| <=
+    ||J||_F^K / |det J|, because s_1 is at most the Frobenius norm (Golub &
+    Van Loan, Matrix Computations, sec. 2.3). The bound takes one batched
+    determinant where cond_2 takes an SVD. Only the seeds with ||J||_F^K at
+    or above CONDITION_LIMIT / 2 * |det J| get the exact cond_2, so every
+    retire decision is the one cond_2 alone makes; the factor 2 covers the
+    rounding of both near the limit, and a determinant that underflows to
+    0 (or a zero 1 x 1 Jacobian) screens the seed in.
 
     Returns the last iterates (S, K), their residual norms, the outcome
     codes and the iteration counts (the step at which the seed retired).
@@ -176,7 +179,8 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
         iters[active[done]] = it
         active = active[~done]
         jac = _jacobian_raw(theta[active], orders)
-        singular = np.linalg.cond(jac, "fro") > CONDITION_LIMIT / 2
+        frob_k = np.einsum("sij,sij->s", jac, jac) ** (len(orders) / 2)
+        singular = frob_k >= CONDITION_LIMIT / 2 * np.abs(np.linalg.det(jac))
         if singular.any():
             singular[singular] = np.linalg.cond(jac[singular]) > CONDITION_LIMIT
         status[active[singular]] = SINGULAR
@@ -292,11 +296,11 @@ def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarra
 
 
 # Seeds per _newton_batch call in solve_multistart. A chunk's working set is
-# a few (S, K, K) float64 stacks (the residual and Jacobian terms and the
-# inverse the condition screen takes: 512 KiB each at S = 4096, K = 4; only
-# the few seeds near the limit are decomposed) plus (S, K) iterates and
-# steps. Its peak, about 3 MiB at K = 4 (tracemalloc, 4-level targets on the
-# 2.5 degree lattice), does not grow with the lattice.
+# a few (S, K, K) float64 stacks (the residual and Jacobian terms: 512 KiB
+# each at S = 4096, K = 4; only the few seeds near the condition limit are
+# decomposed) plus (S, K) iterates and steps. Its peak, about 3 MiB at K = 4
+# (tracemalloc, 4-level targets on the 2.5 degree lattice), does not grow
+# with the lattice.
 MULTISTART_CHUNK = 4096
 
 
@@ -336,10 +340,9 @@ def solve_multistart(
         counts += np.bincount(status, minlength=4)
         rows = np.flatnonzero(status == CONVERGED)
         roots = np.sort(theta[rows], axis=1)
-        # the rules of AngleSet: finite, inside (0, pi/2), strictly increasing
-        valid = (
-            np.isfinite(roots) & (roots > 0.0) & (roots < math.pi / 2)
-        ).all(axis=1) & (np.diff(roots, axis=1) > 0).all(axis=1)
+        # AngleSet's rules but one hold already: a converged row is a seed or
+        # an accepted iterate, inside (0, pi/2); its angles may repeat
+        valid = (np.diff(roots, axis=1) > 0).all(axis=1)
         bounded = (roots[:, 0] < dedup) | (roots[:, -1] > math.pi / 2 - dedup)
         invalid += int(np.count_nonzero(~valid))
         on_bounds += int(np.count_nonzero(valid & bounded))

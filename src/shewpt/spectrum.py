@@ -126,6 +126,9 @@ def waveform_dft_spectrum(
 
 def thd(spectrum: HarmonicSpectrum, n_max: int) -> float:
     """sqrt(sum of A_n^2 for n=2..n_max) / A_1."""
+    if not (math.isfinite(n_max) and int(n_max) == n_max):
+        raise ValidationError(f"n_max: {n_max!r} must be an integer")
+    n_max = int(n_max)
     if n_max < 1:
         raise ValidationError(f"n_max: {n_max!r} must be >= 1")
     if n_max > spectrum.n_max:

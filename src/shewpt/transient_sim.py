@@ -143,6 +143,18 @@ def _drive_samples(drive, steps_per_cycle: int):
 MAX_STEPS_PER_CYCLE = 2**20
 
 
+def _check_steps_per_cycle(steps_per_cycle) -> None:
+    if (
+        not isinstance(steps_per_cycle, (int, np.integer))
+        or not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
+        or steps_per_cycle & (steps_per_cycle - 1)
+    ):
+        raise ValidationError(
+            f"steps_per_cycle: {steps_per_cycle!r} must be a power of two "
+            f"in [512, {MAX_STEPS_PER_CYCLE}]"
+        )
+
+
 def simulate(
     params: WptLinkParams,
     drive,
@@ -159,15 +171,7 @@ def simulate(
     for the steady state, when the propagator's spectral radius is >= 1 (a
     lossless tank rounds to that).
     """
-    if (
-        not isinstance(steps_per_cycle, (int, np.integer))
-        or not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
-        or steps_per_cycle & (steps_per_cycle - 1)
-    ):
-        raise ValidationError(
-            f"steps_per_cycle: {steps_per_cycle!r} must be a power of two "
-            f"in [512, {MAX_STEPS_PER_CYCLE}]"
-        )
+    _check_steps_per_cycle(steps_per_cycle)
     if initial_state is not None:
         initial_state = np.asarray(initial_state, dtype=float)
         if initial_state.shape != (4,) or not np.isfinite(initial_state).all():

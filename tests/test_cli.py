@@ -415,6 +415,18 @@ class TestReproduce:
         report = json.loads((tmp_path / "reproduce_report.json").read_text())
         assert report["all_passed"] is True
 
+    @pytest.mark.parametrize("case", ["3level", "4level", "wpt100", "all"])
+    def test_rejects_a_bad_step_count_for_every_case(self, tmp_path, capsys, case):
+        # the level cases simulate nothing, and took any --steps-per-cycle
+        code, _, err = run(
+            capsys,
+            ["--out-dir", str(tmp_path), "reproduce", "--case", case,
+             "--steps-per-cycle", "7"],
+        )
+        assert code == 2
+        assert err.startswith("validation error: steps_per_cycle: 7 must be a power of two")
+        assert not (tmp_path / "reproduce_report.json").exists()
+
     def test_all_cases(self, tmp_path, capsys):
         # every case writes through write_json, which takes Python values only
         code, out, _ = run(capsys, ["--out-dir", str(tmp_path), "reproduce"])

@@ -350,6 +350,21 @@ class TestNewton:
         got = _outcome(solve_newton, AngleSet(theta), targets_3)
         assert got == _outcome(_reference_newton, np.array(theta), targets_3.as_array())
 
+    @pytest.mark.parametrize("orders", [(3, 9), (3, 5, 7), (5, 7, 11, 13)])
+    def test_singular_at_the_first_step_is_cond_2_above_the_limit(self, orders):
+        # one angle pair 1e-17 to 1e-6 apart sweeps cond_2 across 1e12; the
+        # kernel screens cond_2 without an SVD and must retire exactly the
+        # seeds whose cond_2 of -n sin(n theta) is above 1e12
+        rng = np.random.default_rng(len(orders))
+        arr = np.asarray(orders, dtype=float)
+        theta = rng.uniform(0.05, 1.5, (2000, len(orders)))
+        theta[:, 1] = theta[:, 0] + np.logspace(-17, -6, len(theta))
+        jac = -arr[:, None] * np.sin(arr[:, None] * theta[:, None, :])
+        want = np.linalg.cond(jac) > 1e12
+        _, _, status, iters = she_solver._newton_batch(theta, arr, 1e-12, 1)
+        assert 0 < np.count_nonzero(want) < len(want)
+        assert np.array_equal((status == she_solver.SINGULAR) & (iters == 0), want)
+
     @pytest.mark.parametrize(
         "angle, direction",
         [

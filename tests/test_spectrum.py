@@ -167,6 +167,18 @@ class TestThd:
         with pytest.raises(ValidationError, match=rf"^n_max: {n_max} must be >= 1$"):
             thd(spec, n_max)
 
+    @pytest.mark.parametrize("n_max", [2.5, math.nan, math.inf])
+    def test_rejects_a_non_integer_order_count(self, waveform_3, n_max):
+        # 2.5 and nan passed both range checks and raised TypeError from the
+        # slice; inf read as past the coverage
+        spec = waveform_dft_spectrum(waveform_3, 21)
+        with pytest.raises(ValidationError, match=rf"^n_max: {n_max!r} must be an integer$"):
+            thd(spec, n_max)
+
+    def test_an_integral_float_order_count_is_that_integer(self, waveform_3):
+        spec = waveform_dft_spectrum(waveform_3, 21)
+        assert thd(spec, 21.0) == thd(spec, 21) == thd(spec, np.int64(21))
+
     def test_rejects_orders_past_the_coverage(self, waveform_3):
         spec = waveform_dft_spectrum(waveform_3, 21)
         with pytest.raises(ValidationError, match="^n_max: 22 beyond spectrum coverage 21$"):

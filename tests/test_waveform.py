@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -260,6 +261,32 @@ class TestAngleIntegral:
         phase = rng.uniform(-20.0, 20.0, 20_000)
         for w in waveforms:
             assert np.array_equal(w.angle_integral(phase), _six_quarter_angle_integral(w, phase))
+
+    @pytest.mark.parametrize("layers", [1, 3, 4, 15])
+    def test_equals_the_six_quarter_integral_at_the_block_edges(self, layers):
+        # the (points, layers) terms are reduced a block of rows at a time
+        rng = np.random.default_rng(2000 + layers)
+        w = _random_waveform(rng, layers)
+        rows = waveform.INTEGRAL_BLOCK // layers
+        for n in (rows - 1, rows, rows + 1):
+            phase = rng.uniform(-20.0, 20.0, n)
+            assert np.array_equal(w.angle_integral(phase), _six_quarter_angle_integral(w, phase)), n
+        phase = rng.uniform(-20.0, 20.0, (rows + 1, 3))
+        got = w.angle_integral(phase)
+        assert got.shape == phase.shape
+        assert np.array_equal(got, _six_quarter_angle_integral(w, phase))
+
+    def test_interval_means_take_a_bounded_working_set(self):
+        # one whole (65,537, 15) pass traced 16.6 MiB
+        w = _random_waveform(np.random.default_rng(3), 15)
+        interval_mean_samples(w, 65536)
+        tracemalloc.start()
+        try:
+            interval_mean_samples(w, 65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_equals_the_six_quarter_integral_at_multiples_of_half_pi(self, waveform_3):
         phase = np.arange(-16, 17) * (math.pi / 2)
