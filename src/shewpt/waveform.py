@@ -29,8 +29,8 @@ __all__ = [
     "waveform_to_csv",
 ]
 
-# elements per (rows, layers) temporary of angle_integral's reduction
-# (512 KiB): 1 << 17 and 1 << 18 peaked higher and ran slower
+# elements in the (rows, layers) buffer of angle_integral's reduction
+# (512 KiB); a whole (points, layers) array is 7.5 MiB at 65,537 x 15
 INTEGRAL_BLOCK = 1 << 16
 
 
