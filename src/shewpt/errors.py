@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer-count rule, shared across the package."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -29,3 +31,12 @@ class NonConvergenceError(RuntimeError):
 
 class UndefinedThdError(ValidationError):
     """THD is undefined because the fundamental amplitude is zero."""
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """A count (samples, orders, iterations, steps) is an int or a numpy
+    integer, not a float of any value, and at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}: {value!r} must be an integer")
+    if value < minimum:
+        raise ValidationError(f"{name}: {value!r} must be >= {minimum}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -93,14 +94,16 @@ def _write_csv(path, header, *columns) -> None:
     """Header, then one row per index of the equal-length ``columns``.
 
     Each number is written as the ``repr`` of its Python value, rows end in
-    CRLF (the csv module's default dialect).
+    CRLF (the csv module's default dialect). A chunk of rows is one ``%``
+    of the repeated row template: ``%r`` is ``repr``.
     """
     columns = [np.asarray(col) for col in columns]
+    row = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunk = [col[start : start + _CSV_CHUNK_ROWS].tolist() for col in columns]
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*chunk))
+            fh.write((row * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def _read_json(path):

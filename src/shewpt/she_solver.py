@@ -9,6 +9,7 @@ angle lattice serves as an independent oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations, islice
 
@@ -20,6 +21,7 @@ from .errors import (
     NonConvergenceError,
     SingularMatrixError,
     ValidationError,
+    _check_count,
 )
 from .waveform import AngleSet
 
@@ -57,7 +59,8 @@ class HarmonicTargetSet:
         if len(orders) == 0:
             raise ValidationError("orders: at least one harmonic order required")
         for i, n in enumerate(orders):
-            if not (n >= 3 and n % 2 == 1):  # also rejects a fraction and nan
+            # also rejects a fraction, nan and a string
+            if not (isinstance(n, numbers.Real) and n >= 3 and n % 2 == 1):
                 raise ValidationError(
                     f"orders[{i}]: {n!r} must be an odd integer >= 3"
                 )
@@ -164,8 +167,7 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     """
     if not 0 < tol <= TOL_MAX:
         raise ValidationError(f"tol: {tol!r} must be in (0, {TOL_MAX!r}]")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter: {max_iter!r} must be >= 1")
+    _check_count("max_iter", max_iter, 1)
     theta = np.array(theta0, dtype=float)
     res = _residual_raw(theta, orders)
     norm = np.abs(res).max(axis=1)

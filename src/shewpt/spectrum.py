@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedThdError, ValidationError
+from .errors import UndefinedThdError, ValidationError, _check_count
 from .reporting import _write_csv
 from .waveform import (
     AngleSet,
@@ -68,10 +68,10 @@ class ThdReport:
     eliminated_orders_max_relative: float
 
 
-def _check_count(count: int, n_max: int):
-    if n_max < 1:
-        raise ValidationError(f"n_max: {n_max!r} must be >= 1")
-    if count < 2 or count & (count - 1):
+def _check_dft_size(count: int, n_max: int):
+    _check_count("n_max", n_max, 1)
+    _check_count("samples", count, 2)
+    if count & (count - 1):
         raise ValidationError(f"samples: count {count} is not a power of two")
     if count < 2 * n_max + 2:
         raise ValidationError(
@@ -82,7 +82,9 @@ def _check_count(count: int, n_max: int):
 def dft_spectrum(samples, f1: float, n_max: int) -> HarmonicSpectrum:
     """Plain harmonic-aligned DFT of one uniformly sampled period."""
     samples = np.asarray(samples, dtype=float)
-    _check_count(len(samples), n_max)
+    if samples.ndim != 1 or not np.isfinite(samples).all():
+        raise ValidationError("samples: must be one period of finite values")
+    _check_dft_size(len(samples), n_max)
     bins = np.fft.rfft(samples) / len(samples)
     amps = np.zeros(n_max + 1)
     amps[1:] = 2.0 * np.abs(bins[1 : n_max + 1])
@@ -93,6 +95,7 @@ def analytic_spectrum(
     angle_set: AngleSet, step_voltage: float, f1: float, n_max: int
 ) -> HarmonicSpectrum:
     """Closed-form Fourier amplitudes of the staircase."""
+    _check_count("n_max", n_max, 1)
     amps = np.zeros(n_max + 1)
     orders = np.arange(1, n_max + 1)
     amps[1:] = np.abs(_harmonic_amplitudes(angle_set.as_array(), step_voltage, orders))
@@ -110,7 +113,7 @@ def waveform_dft_spectrum(
     the zero-order-hold factor exp(i*pi*n/N)*sinc(n/N) recovers the
     continuous-waveform harmonic with alias leakage O(n / N^2).
     """
-    _check_count(samples_per_period, n_max)
+    _check_dft_size(samples_per_period, n_max)
     means = interval_mean_samples(w, samples_per_period)
     bins = np.fft.rfft(means) / samples_per_period
     n = np.arange(1, n_max + 1)
@@ -126,11 +129,9 @@ def waveform_dft_spectrum(
 
 def thd(spectrum: HarmonicSpectrum, n_max: int) -> float:
     """sqrt(sum of A_n^2 for n=2..n_max) / A_1."""
-    if not (math.isfinite(n_max) and int(n_max) == n_max):
-        raise ValidationError(f"n_max: {n_max!r} must be an integer")
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValidationError(f"n_max: {n_max!r} must be >= 1")
+    if isinstance(n_max, float) and n_max.is_integer():
+        n_max = int(n_max)  # an integral float names that count
+    _check_count("n_max", n_max, 1)
     if n_max > spectrum.n_max:
         raise ValidationError(
             f"n_max: {n_max} beyond spectrum coverage {spectrum.n_max}"
@@ -206,7 +207,7 @@ def _spectrum_and_thd_report(
     n_max are the bits a DFT to n_max gives. The inputs are checked as the
     two calls would check them, in the same order.
     """
-    _check_count(samples_per_period, n_max)
+    _check_dft_size(samples_per_period, n_max)
     band = _band_orders(THD_BAND_TOTAL, samples_per_period)
     spec = waveform_dft_spectrum(w, max(n_max, band), samples_per_period)
     report = _report_from_spectrum(w, spec, eliminated_orders, THD_BAND_TOTAL)

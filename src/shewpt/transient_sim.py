@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, _check_count
 from .reporting import _write_csv
 from .waveform import SteppedWaveform, _signed_level_count
 # fha_solve is not called here; it stays a module attribute because the
@@ -144,9 +144,9 @@ MAX_STEPS_PER_CYCLE = 2**20
 
 
 def _check_steps_per_cycle(steps_per_cycle) -> None:
+    _check_count("steps_per_cycle", steps_per_cycle, 1)
     if (
-        not isinstance(steps_per_cycle, (int, np.integer))
-        or not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
+        not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
         or steps_per_cycle & (steps_per_cycle - 1)
     ):
         raise ValidationError(

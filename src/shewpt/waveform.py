@@ -11,11 +11,12 @@ terms only:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 from .reporting import _write_csv
 
 __all__ = [
@@ -41,15 +42,17 @@ class AngleSet:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in self.angles)
-        object.__setattr__(self, "angles", angles)
+        angles = tuple(self.angles)
         if len(angles) == 0:
             raise ValidationError("angles: at least one firing angle required")
         for i, a in enumerate(angles):
-            if not math.isfinite(a) or not 0.0 < a < math.pi / 2:
+            # numpy floats are Real; a string is not
+            if not (isinstance(a, numbers.Real) and math.isfinite(a) and 0.0 < a < math.pi / 2):
                 raise ValidationError(
-                    f"angles[{i}]: {a!r} outside the open interval (0, pi/2)"
+                    f"angles[{i}]: {a!r} is not a real number in the open interval (0, pi/2)"
                 )
+        angles = tuple(float(a) for a in angles)
+        object.__setattr__(self, "angles", angles)
         if any(b <= a for a, b in zip(angles, angles[1:])):
             raise ValidationError("angles: must be strictly increasing")
 
@@ -205,8 +208,7 @@ def interval_mean_samples(w: SteppedWaveform, count: int) -> np.ndarray:
     Area-accurate sampling: preserves the integral of the staircase even when
     switching edges fall between grid points.
     """
-    if count < 2:
-        raise ValidationError(f"count: {count!r} must be >= 2")
+    _check_count("count", count, 2)
     edges = np.linspace(0.0, 2 * math.pi, count + 1)
     integral = w.angle_integral(edges)
     return np.diff(integral) / (2 * math.pi / count)
@@ -214,8 +216,7 @@ def interval_mean_samples(w: SteppedWaveform, count: int) -> np.ndarray:
 
 def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192):
     """One period of pointwise samples, header ``t_s,v_V``; returns ``(t, v)``."""
-    if samples < 2:
-        raise ValidationError(f"samples: {samples!r} must be >= 2")
+    _check_count("samples", samples, 2)
     t = np.arange(samples) * (w.period / samples)
     v = w.sample_at(t)
     _write_csv(path, ["t_s", "v_V"], t, v)

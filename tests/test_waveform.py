@@ -404,7 +404,8 @@ class TestCsvExport:
         assert len(lines) == 1025
         assert path_a.read_bytes() == path_b.read_bytes()
 
-    @pytest.mark.parametrize("samples", [8192, 65536])
+    # 63, 64 and 65 straddle one writer chunk of 64 rows
+    @pytest.mark.parametrize("samples", [63, 64, 65, 1024, 8192, 65536])
     def test_bytes_equal_the_row_loop(self, waveform_3, tmp_path, samples):
         # the per-row csv.writer loop that wrote this file before the rows
         # went through one writer
