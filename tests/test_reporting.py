@@ -36,8 +36,8 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("rows, ncols", [(65536, 2), (4097, 6)])
     def test_a_file_is_never_held_whole(self, tmp_path, rows, ncols):
-        # the 64-row chunks traced 53 KiB (65,536 x 2) and 107 KiB (4,097 x
-        # 6); the whole 65,536 x 2 file as one string is 2.4 MiB
+        # 64-row chunks trace 30-43 KiB on these columns; the whole 65,536 x
+        # 2 file as one string would be over 2 MiB
         columns = np.random.default_rng(rows).standard_normal((ncols, rows))
         header = [f"c{i}" for i in range(ncols)]
         path = tmp_path / "out.csv"
