@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -200,7 +199,6 @@ def _add_transient_check(report: RunReport, params, fha, steps_per_cycle):
     report.outputs["transient"] = dict(
         metrics.to_dict(),
         spectral_radius=trace.spectral_radius,
-        angle_snap_error_deg=math.degrees(trace.angle_snap_error_rad),
         energy_balance_residual=transient_sim.energy_balance_residual(
             trace, params, trace.r_ac
         ),

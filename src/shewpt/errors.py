@@ -1,4 +1,8 @@
-"""Exception types, and the integer-count rule, shared across the package."""
+"""Exception types, and the rules for counts and magnitudes, shared across
+the package."""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -40,3 +44,12 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name}: {value!r} must be an integer")
     if value < minimum:
         raise ValidationError(f"{name}: {value!r} must be >= {minimum}")
+
+
+def _check_magnitude(name: str, value, allow_zero: bool = False) -> None:
+    """A magnitude (a voltage, a frequency, a component value, a lattice step)
+    is a real number, not a string, finite and > 0, or >= 0 where ``allow_zero``."""
+    real = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (real and (value > 0 or allow_zero and value == 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValidationError(f"{name}: {value!r} must be finite and {bound}")

@@ -22,6 +22,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
     _check_count,
+    _check_magnitude,
 )
 from .waveform import AngleSet
 
@@ -283,8 +284,7 @@ def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarra
     """Interior lattice of (0, 90) degrees, checked before it is built to
     have at least one and at most ``limit`` ascending k-tuples (``name`` is
     the argument)."""
-    if not (math.isfinite(step_deg) and step_deg > 0):
-        raise ValidationError(f"{name}: {step_deg!r} must be finite and > 0")
+    _check_magnitude(name, step_deg)
     m = int(math.ceil(90.0 / step_deg)) - 1
     if m < k:
         raise ValidationError(
@@ -323,7 +323,8 @@ def solve_multistart(
     on the ``shewpt.she_solver`` logger counts the outcomes. Lattices of
     more than MULTISTART_SEED_LIMIT seeds are rejected.
     """
-    if not 0.0 < grid_step_deg <= 15.0:
+    _check_magnitude("grid_step_deg", grid_step_deg)
+    if grid_step_deg > 15.0:
         raise ValidationError(f"grid_step_deg: {grid_step_deg!r} not in (0, 15]")
     values = np.radians(
         _lattice_values(

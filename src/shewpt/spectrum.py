@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedThdError, ValidationError, _check_count
+from .errors import UndefinedThdError, ValidationError, _check_count, _check_magnitude
 from .reporting import _write_csv
 from .waveform import (
     AngleSet,
@@ -54,7 +54,8 @@ class HarmonicSpectrum:
         return len(self.amplitudes) - 1
 
     def amplitude(self, n: int) -> float:
-        if not 1 <= n <= self.n_max:
+        _check_count("n", n, 1)
+        if n > self.n_max:
             raise ValidationError(f"n: {n!r} outside 1..{self.n_max}")
         return float(self.amplitudes[n])
 
@@ -81,6 +82,7 @@ def _check_dft_size(count: int, n_max: int):
 
 def dft_spectrum(samples, f1: float, n_max: int) -> HarmonicSpectrum:
     """Plain harmonic-aligned DFT of one uniformly sampled period."""
+    _check_magnitude("f1", f1)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or not np.isfinite(samples).all():
         raise ValidationError("samples: must be one period of finite values")
@@ -96,6 +98,7 @@ def analytic_spectrum(
 ) -> HarmonicSpectrum:
     """Closed-form Fourier amplitudes of the staircase."""
     _check_count("n_max", n_max, 1)
+    _check_magnitude("f1", f1)
     amps = np.zeros(n_max + 1)
     orders = np.arange(1, n_max + 1)
     amps[1:] = np.abs(_harmonic_amplitudes(angle_set.as_array(), step_voltage, orders))

@@ -6,8 +6,9 @@ State x = (i1, i2, vC1, vC2) obeys the linear mesh equations
     dvC1/dt = i1/C1,  dvC2/dt = i2/C2
 
 driven by the inverter square or staircase voltage, held constant over
-each integration step at its value at the step's midpoint, so that every
-switching edge falls on the step boundary nearest its angle. The
+each integration step at its exact mean over that step (the interval means
+of the waveform module), so a switching edge between step boundaries keeps
+its area, and a step that holds no edge holds its level exactly. The
 integrator is classical fourth-order Runge-Kutta; because the system is
 linear with piecewise-constant drive, the RK4 update collapses to the
 exact affine map x -> Phi x + Gamma v, which is precomputed once. The
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, _check_count
+from .errors import DivergenceError, ValidationError, _check_count, _check_magnitude
 from .reporting import _write_csv
-from .waveform import SteppedWaveform, _signed_level_count
+from .waveform import SteppedWaveform, _interval_means
 # fha_solve is not called here; it stays a module attribute because the
 # benchmark's traced run (bench/spans.py) patches transient_sim.fha_solve
 from .wpt_link import WptLinkParams, fha_solve  # noqa: F401
@@ -55,12 +56,8 @@ class SquareDrive:
     frequency: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValidationError(
-                f"amplitude: {self.amplitude!r} must be finite and >= 0"
-            )
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
-            raise ValidationError(f"frequency: {self.frequency!r} must be finite and > 0")
+        _check_magnitude("amplitude", self.amplitude, allow_zero=True)
+        _check_magnitude("frequency", self.frequency)
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class TransientTrace:
     steps_per_cycle: int
     r_ac: float  # the AC load resistance the tank was integrated with
     spectral_radius: float  # of the one-cycle propagator P
-    angle_snap_error_rad: float
 
     def to_csv(self, path) -> None:
         """Header ``t_s,v_drive_V,i1_A,i2_A,vC1_V,vC2_V``."""
@@ -121,7 +117,8 @@ def _system_matrices(params: WptLinkParams):
 
 
 def _drive_samples(drive, steps_per_cycle: int):
-    """Per-step drive voltages over one cycle, plus the angle snap error."""
+    """Per-step drive voltages over one cycle, each the drive's exact mean
+    over its step, and the drive frequency."""
     if isinstance(drive, SquareDrive):
         # the one-layer staircase that switches at theta = 0
         theta, level, freq = np.zeros(1), drive.amplitude, drive.frequency
@@ -130,12 +127,7 @@ def _drive_samples(drive, steps_per_cycle: int):
         level, freq = drive.step_voltage, drive.fundamental_frequency
     else:
         raise ValidationError(f"drive: unsupported type {type(drive).__name__}")
-    grid = 2 * math.pi / steps_per_cycle
-    snap_err = float(np.max(np.abs(np.round(theta / grid) * grid - theta)))
-    # each step holds the level at its midpoint, so every edge lands on the
-    # step boundary nearest its angle
-    count = _signed_level_count(theta, (np.arange(steps_per_cycle) + 0.5) * grid)
-    return count * level, freq, snap_err
+    return level * _interval_means(theta, steps_per_cycle), freq
 
 
 # Longest cycle simulate accepts: its (steps + 1, 4, 4) float64 propagator
@@ -176,7 +168,7 @@ def simulate(
         initial_state = np.asarray(initial_state, dtype=float)
         if initial_state.shape != (4,) or not np.isfinite(initial_state).all():
             raise ValidationError("initial_state: must be four finite values")
-    v_cycle, freq, snap_err = _drive_samples(drive, steps_per_cycle)
+    v_cycle, freq = _drive_samples(drive, steps_per_cycle)
     dt = 1.0 / (freq * steps_per_cycle)
 
     a, b = _system_matrices(params)
@@ -226,7 +218,6 @@ def simulate(
         steps_per_cycle=steps_per_cycle,
         r_ac=params.r_ac,
         spectral_radius=rho,
-        angle_snap_error_rad=snap_err,
     )
 
 

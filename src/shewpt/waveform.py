@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_count
+from .errors import ValidationError, _check_count, _check_magnitude
 from .reporting import _write_csv
 
 __all__ = [
@@ -29,11 +29,6 @@ __all__ = [
     "interval_mean_samples",
     "waveform_to_csv",
 ]
-
-# elements in the (rows, layers) buffer of angle_integral's reduction
-# (512 KiB); a whole (points, layers) array is 7.5 MiB at 65,537 x 15
-INTEGRAL_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class AngleSet:
@@ -105,24 +100,27 @@ def _signed_level_count(thresholds: np.ndarray, phase) -> np.ndarray:
     return np.where(first, 1.0, -1.0) * np.searchsorted(thresholds, fold, side="right")
 
 
-def _ramp_sums(fold: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_i max(0, fold - theta_i) for each element of ``fold``.
+def _edge_table(theta: np.ndarray):
+    """The staircase over one period as its sorted edges ``(positions,
+    jumps)``, in periods and in the signed layer count: layer i switches on
+    at u_i = theta_i / 2 pi and off at 1/2 - u_i, and with the other sign at
+    1/2 + u_i and 1 - u_i. A first edge of no jump at 0 opens level 0."""
+    u = theta / (2 * math.pi)
+    pos = np.concatenate(([0.0], u, 0.5 - u[::-1], 0.5 + u, 1.0 - u[::-1]))
+    return pos, np.concatenate(([0.0], np.repeat([1.0, -1.0, -1.0, 1.0], u.size)))
 
-    The (points, K) terms are taken INTEGRAL_BLOCK at a time in one buffer,
-    reused so that each block does not map fresh pages. Each row is the
-    same contiguous K-term sum whatever the block, so the bits are those of
-    one whole (points, K) pass.
-    """
-    flat = fold.reshape(-1)
-    q = np.empty(flat.size)
-    rows = max(1, INTEGRAL_BLOCK // theta.size)
-    work = np.empty((min(rows, flat.size), theta.size))
-    for lo in range(0, flat.size, rows):
-        part = work[: min(rows, flat.size - lo)]
-        np.subtract(flat[lo : lo + rows, None], theta, out=part)
-        np.maximum(0.0, part, out=part)
-        part.sum(axis=-1, out=q[lo : lo + rows])
-    return q.reshape(fold.shape)
+
+def _interval_means(theta: np.ndarray, count: int) -> np.ndarray:
+    """Mean signed layer count over each of ``count`` equal intervals of one
+    period: the level at the interval's start plus, for each edge inside it,
+    the jump times the part of the interval after the edge. An interval that
+    holds no edge is its level exactly; an edge at the period's end is in none."""
+    pos, jump = _edge_table(theta)
+    pos = pos * count  # in intervals
+    k = pos.astype(np.intp)  # the interval that holds each edge (pos >= 0)
+    start = np.cumsum(np.bincount(k + 1, jump, minlength=count)[:count])
+    inside = np.bincount(k, jump * (k + 1 - pos), minlength=count)[:count]
+    return start + inside
 
 
 @dataclass(frozen=True)
@@ -134,10 +132,8 @@ class SteppedWaveform:
     fundamental_frequency: float
 
     def __post_init__(self):
-        for name in ("step_voltage", "fundamental_frequency"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name}: {v!r} must be finite and > 0")
+        _check_magnitude("step_voltage", self.step_voltage)
+        _check_magnitude("fundamental_frequency", self.fundamental_frequency)
 
     @property
     def period(self) -> float:
@@ -158,14 +154,13 @@ class SteppedWaveform:
 
     def angle_integral(self, phase):
         """Integral of v over electrical angle from 0 to phase (volt-radians)."""
-        theta = self.angle_set.as_array()
-        first, half, fold = _fold(phase)  # full periods integrate to zero
-        q = _ramp_sums(fold, theta)  # over [0, fold]
-        q_top = np.maximum(0.0, math.pi / 2 - theta).sum()  # over the quarter wave
-        # mirrored about pi/2; tests/test_waveform.py pins the rounding of the
-        # grouping q_top + (q_top - q) bit for bit
-        h = np.where(half > math.pi / 2, q_top + (q_top - q), q)
-        out = self.step_voltage * np.where(first, h, 2 * q_top - h)
+        pos, jump = _edge_table(self.angle_set.as_array())
+        level = np.cumsum(jump)  # from each edge on
+        area = np.concatenate(([0.0], np.cumsum(level[:-1] * np.diff(pos))))
+        # full periods integrate to zero
+        x = np.mod(np.asarray(phase, dtype=float), 2 * math.pi) / (2 * math.pi)
+        i = np.searchsorted(pos, x, side="right") - 1
+        out = (2 * math.pi * self.step_voltage) * (area[i] + level[i] * (x - pos[i]))
         return float(out) if out.ndim == 0 else out
 
 
@@ -178,6 +173,7 @@ def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWavefor
 
 def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.ndarray:
     """Signed b_n for an array of orders; even orders are exactly 0.0."""
+    _check_magnitude("step_voltage", step_voltage)
     n = np.asarray(orders)
     amps = 4.0 * step_voltage / (n * math.pi) * np.cos(n[:, None] * theta).sum(axis=1)
     return np.where(n % 2 == 0, 0.0, amps)
@@ -185,7 +181,7 @@ def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.n
 
 def harmonic_amplitude(angle_set: AngleSet, step_voltage: float, n: int) -> float:
     """Peak amplitude of the n-th sine harmonic; exactly 0 for even n."""
-    if not 1 <= n < math.inf or int(n) != n:  # nan fails the range too
+    if not (isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n):  # nan fails
         raise ValidationError(f"n: {n!r} must be a positive integer")
     return float(_harmonic_amplitudes(angle_set.as_array(), step_voltage, [n])[0])
 
@@ -196,6 +192,7 @@ def fundamental_rms(angle_set: AngleSet, step_voltage: float) -> float:
 
 def total_rms(angle_set: AngleSet, step_voltage: float) -> float:
     """Closed-form time-domain RMS over a quarter period."""
+    _check_magnitude("step_voltage", step_voltage)
     theta = np.concatenate([[0.0], angle_set.as_array(), [math.pi / 2]])
     levels = np.arange(len(theta) - 1)
     mean_sq = (2.0 / math.pi) * float(np.sum(levels**2 * np.diff(theta)))
@@ -209,9 +206,7 @@ def interval_mean_samples(w: SteppedWaveform, count: int) -> np.ndarray:
     switching edges fall between grid points.
     """
     _check_count("count", count, 2)
-    edges = np.linspace(0.0, 2 * math.pi, count + 1)
-    integral = w.angle_integral(edges)
-    return np.diff(integral) / (2 * math.pi / count)
+    return w.step_voltage * _interval_means(w.angle_set.as_array(), count)
 
 
 def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import SingularMatrixError, ValidationError, _check_magnitude
 from .reporting import _read_json
 
 __all__ = [
@@ -43,16 +43,12 @@ class WptLinkParams:
 
     def __post_init__(self):
         for name in ("L1", "L2", "C1", "C2", "R_load_dc", "V_dc", "f_s"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name}: {v!r} must be > 0")
+            _check_magnitude(name, getattr(self, name))
         # k = 0 is admitted as the uncoupled limit
         if not 0.0 <= self.k < 1.0:
             raise ValidationError(f"k: {self.k!r} must be in [0, 1)")
         for name in ("R1", "R2", "diode_drop"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError(f"{name}: {v!r} must be >= 0")
+            _check_magnitude(name, getattr(self, name), allow_zero=True)
 
     @property
     def mutual(self) -> float:

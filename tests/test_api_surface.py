@@ -127,10 +127,7 @@ SIGNATURES = {
         "power_scaling_check": "(params, V_dc_a, V_dc_b)",
     },
     "shewpt.transient_sim": {
-        "TransientTrace": (
-            "(dt, states, drive, steps_per_cycle, r_ac, spectral_radius, "
-            "angle_snap_error_rad)"
-        ),
+        "TransientTrace": "(dt, states, drive, steps_per_cycle, r_ac, spectral_radius)",
         "TransientTrace.to_csv": "(self, path)",
         "SquareDrive": "(amplitude, frequency)",
         "SteadyStateMetrics": "(I1_rms, I2_rms, P_out, P_in_fundamental_cycle, zvs)",

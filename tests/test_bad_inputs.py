@@ -10,12 +10,19 @@ import pytest
 from shewpt import (
     AngleSet,
     HarmonicTargetSet,
+    SquareDrive,
     ValidationError,
+    WptLinkParams,
     analytic_spectrum,
     dft_spectrum,
+    fundamental_rms,
+    harmonic_amplitude,
     solve_multistart,
     solve_newton,
     synth,
+    thd_report,
+    thd_total_closed_form,
+    total_rms,
     waveform_dft_spectrum,
 )
 from shewpt.waveform import interval_mean_samples, waveform_to_csv
@@ -55,6 +62,26 @@ BAD_CALLS = [
     ("analytic-n_max-0", "n_max", lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, 0)),
     ("analytic-n_max--1", "n_max", lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, -1)),
     ("analytic-n_max-2.5", "n_max", lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, 2.5)),
+    # IndexError from the amplitude array
+    ("amplitude-n-2.5", "n", lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, 21).amplitude(2.5)),
+    ("thd_report-order-3.5", "n", lambda p: thd_report(WAVE, eliminated_orders=(3.5,))),
+    # TypeError from the order's range test
+    ("harmonic-n-str", "n", lambda p: harmonic_amplitude(ANGLES, 500.0, "3")),
+    # a negative, infinite or NaN answer
+    ("fund_rms-step--1", "step_voltage", lambda p: fundamental_rms(ANGLES, -1.0)),
+    ("total_rms-step-inf", "step_voltage", lambda p: total_rms(ANGLES, math.inf)),
+    ("harmonic-step-nan", "step_voltage", lambda p: harmonic_amplitude(ANGLES, math.nan, 3)),
+    ("thd_closed-step--1", "step_voltage", lambda p: thd_total_closed_form(ANGLES, -1.0)),
+    ("analytic-step-nan", "step_voltage", lambda p: analytic_spectrum(ANGLES, math.nan, 85e3, 21)),
+    ("analytic-f1--1", "f1", lambda p: analytic_spectrum(ANGLES, 500.0, -1.0, 21)),
+    ("dft-f1-nan", "f1", lambda p: dft_spectrum(np.zeros(64), math.nan, 9)),
+    # TypeError from math.isfinite
+    ("square-amplitude-str", "amplitude", lambda p: SquareDrive("1", 85e3)),
+    ("square-frequency-str", "frequency", lambda p: SquareDrive(1.0, "85e3")),
+    ("synth-step-str", "step_voltage", lambda p: synth(ANGLES, "1", 85e3)),
+    ("multistart-grid-str", "grid_step_deg", lambda p: solve_multistart(TARGETS, grid_step_deg="5")),
+    ("link-L1-str", "L1", lambda p: WptLinkParams(
+        L1="245e-6", L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
 ]
 
 
@@ -78,8 +105,14 @@ def test_bad_arguments_raise_a_validation_error_naming_them(tmp_path, argument, 
         lambda p: solve_newton(ANGLES, TARGETS, max_iter=np.int64(60)),
         lambda p: AngleSet((np.float32(0.1), np.float64(0.2), 1)),
         lambda p: HarmonicTargetSet((np.int64(3), 5.0)),
+        lambda p: analytic_spectrum(ANGLES, np.float32(500.0), np.int64(85_000), 21).amplitude(
+            np.int64(3)
+        ),
+        lambda p: harmonic_amplitude(ANGLES, np.float64(500.0), np.float64(3.0)),
+        lambda p: SquareDrive(np.float32(0.0), np.int64(85_000)),
     ],
-    ids=["csv", "means", "wdft", "analytic", "newton", "angles", "orders"],
+    ids=["csv", "means", "wdft", "analytic", "newton", "angles", "orders", "amplitude",
+         "harmonic", "square"],
 )
 def test_numpy_integers_and_reals_are_accepted(tmp_path, call):
     call(tmp_path / "out.csv")

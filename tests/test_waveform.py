@@ -2,6 +2,7 @@ import csv
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,42 @@ class TestIntegralOracles:
         with pytest.raises(ValidationError, match="^count: 1 must be >= 2$"):
             interval_mean_samples(waveform_3, 1)
 
+    @pytest.mark.parametrize("layers, count", [(3, 8192), (15, 65536)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_interval_means_equal_the_rational_means(self, layers, count, seed):
+        # every interval that holds or borders an edge, against the exact
+        # rational means of the float angles; rounding the edge positions
+        # alone sets a floor of about count * V * 2**-53
+        w = _random_waveform(np.random.default_rng(4000 + 10 * layers + seed), layers)
+        got = interval_mean_samples(w, count)
+        want = _rational_interval_means(w, count)
+        bound = count * w.step_voltage * 2.0**-51
+        err = max(abs(Fraction(float(got[j])) - m) for j, m in want.items())
+        assert err <= bound, float(err / bound)
+
+
+def _rational_edges(w):
+    # (angle, jump) of the staircase's switching edges over one period, in
+    # exact rationals of the float angles and of math.pi
+    pi = Fraction(math.pi)
+    edges = []
+    for t in map(Fraction, w.angle_set.angles):
+        edges += [(t, 1), (pi - t, -1), (pi + t, -1), (2 * pi - t, 1)]
+    return edges
+
+
+def _rational_interval_means(w, count):
+    # {j: mean of v over [j, j + 1) * 2 pi / count} for each interval that
+    # holds or borders an edge
+    scale = count / (2 * Fraction(math.pi))
+    edges = [(a * scale, jump) for a, jump in _rational_edges(w)]
+    intervals = {j for u, _ in edges for j in range(math.floor(u) - 1, math.floor(u) + 2)}
+    return {
+        j: Fraction(w.step_voltage) * sum(jump * min(1, max(0, j + 1 - u)) for u, jump in edges)
+        for j in sorted(intervals)
+        if 0 <= j < count
+    }
+
 
 def _six_quarter_angle_integral(w, phase):
     # the angle integral as written before it shared sample_at's half-wave
@@ -242,6 +279,30 @@ def _random_waveform(rng, layers):
             return synth(AngleSet(tuple(angles)), float(rng.uniform(1.0, 1000.0)), 85e3)
 
 
+def _rational_angle_integral(w, phases):
+    # the exact integral from 0 to each phase, wrapped into [0, 2 pi) in
+    # rationals of the float phase and of math.pi
+    two_pi = 2 * Fraction(math.pi)
+    edges = _rational_edges(w)
+    return [
+        Fraction(w.step_voltage) * sum(jump * max(0, Fraction(float(p)) % two_pi - a) for a, jump in edges)
+        for p in phases
+    ]
+
+
+def _assert_integral_agrees(w, phase, picks=16):
+    # within 16 K V 2**-52 of the six-quarter float integral on every phase
+    # and of the rational integral on ``picks`` phases spread over the array
+    tol = 16 * w.angle_set.levels * w.step_voltage * 2.0**-52
+    got = w.angle_integral(phase)
+    assert got.shape == np.shape(phase)
+    np.testing.assert_allclose(got, _six_quarter_angle_integral(w, phase), rtol=0, atol=tol)
+    at = np.linspace(0, got.size - 1, min(picks, got.size)).astype(int)
+    want = _rational_angle_integral(w, np.ravel(phase)[at])
+    for g, r in zip(np.ravel(got)[at], want):
+        assert abs(Fraction(float(g)) - r) <= tol
+
+
 class TestAngleIntegral:
     GRID_SIZES = [2, 3, 5, 7, 100, 1000, 4097, 12345] + [2**p for p in range(2, 17)]
 
@@ -250,34 +311,28 @@ class TestAngleIntegral:
         rng = np.random.default_rng(1000 + layers)
         w = _random_waveform(rng, layers)
         for n in self.GRID_SIZES:
-            edges = np.linspace(0.0, 2 * math.pi, n + 1)
-            assert np.array_equal(
-                w.angle_integral(edges), _six_quarter_angle_integral(w, edges)
-            ), n
+            _assert_integral_agrees(w, np.linspace(0.0, 2 * math.pi, n + 1))
 
     def test_equals_the_six_quarter_integral_on_random_phases(self, waveform_3):
         rng = np.random.default_rng(7)
         waveforms = [waveform_3] + [_random_waveform(rng, k) for k in (1, 2, 5, 11, 15)]
         phase = rng.uniform(-20.0, 20.0, 20_000)
         for w in waveforms:
-            assert np.array_equal(w.angle_integral(phase), _six_quarter_angle_integral(w, phase))
+            _assert_integral_agrees(w, phase, picks=64)
 
     @pytest.mark.parametrize("layers", [1, 3, 4, 15])
     def test_equals_the_six_quarter_integral_at_the_block_edges(self, layers):
-        # the (points, layers) terms are reduced a block of rows at a time
+        # array sizes about 2**16 elements of (points, layers), where the
+        # integral was once reduced a block of rows at a time; and a 2-d phase
         rng = np.random.default_rng(2000 + layers)
         w = _random_waveform(rng, layers)
-        rows = waveform.INTEGRAL_BLOCK // layers
+        rows = 2**16 // layers
         for n in (rows - 1, rows, rows + 1):
-            phase = rng.uniform(-20.0, 20.0, n)
-            assert np.array_equal(w.angle_integral(phase), _six_quarter_angle_integral(w, phase)), n
-        phase = rng.uniform(-20.0, 20.0, (rows + 1, 3))
-        got = w.angle_integral(phase)
-        assert got.shape == phase.shape
-        assert np.array_equal(got, _six_quarter_angle_integral(w, phase))
+            _assert_integral_agrees(w, rng.uniform(-20.0, 20.0, n))
+        _assert_integral_agrees(w, rng.uniform(-20.0, 20.0, (rows + 1, 3)))
 
     def test_interval_means_take_a_bounded_working_set(self):
-        # one whole (65,537, 15) pass traced 16.6 MiB
+        # a whole (65,537, 15) pass of the per-layer ramp sums traced 16.6 MiB
         w = _random_waveform(np.random.default_rng(3), 15)
         interval_mean_samples(w, 65536)
         tracemalloc.start()
@@ -290,13 +345,11 @@ class TestAngleIntegral:
 
     def test_equals_the_six_quarter_integral_at_multiples_of_half_pi(self, waveform_3):
         phase = np.arange(-16, 17) * (math.pi / 2)
-        assert np.array_equal(
-            waveform_3.angle_integral(phase), _six_quarter_angle_integral(waveform_3, phase)
-        )
+        _assert_integral_agrees(waveform_3, phase, picks=phase.size)
         for p in phase:
             value = waveform_3.angle_integral(float(p))
             assert type(value) is float
-            assert value == float(_six_quarter_angle_integral(waveform_3, p))
+            assert value == float(waveform_3.angle_integral(np.array([p]))[0])
 
 
 def _mod_fold(phase):
@@ -358,7 +411,7 @@ class TestFold:
     def test_period_grids(self, n):
         grid = TWO_PI / n
         _assert_folds_like_mod(np.linspace(0.0, TWO_PI, n + 1))
-        _assert_folds_like_mod((np.arange(n) + 0.5) * grid)  # drive midpoints
+        _assert_folds_like_mod((np.arange(n) + 0.5) * grid)  # step midpoints
         _assert_folds_like_mod(np.arange(2 * n + 1) * grid)  # two periods
 
     def test_random_phases(self):
