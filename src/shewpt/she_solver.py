@@ -380,6 +380,7 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     Independent of the Newton path; ties break to the lexicographically
     smallest angle tuple. Guarded against lattices above 1e9 points.
     """
+    _check_magnitude("step_deg", step_deg)
     if step_deg < 0.05:
         raise ValidationError(f"step_deg: {step_deg!r} below the 0.05 cost guard")
     k = targets.size

@@ -6,6 +6,11 @@ quarter-wave-symmetric staircase whose Fourier series contains odd sine
 terms only:
 
     b_n = (4 * V_step / (n * pi)) * sum_i cos(n * theta_i)
+
+The staircase is held once, as its sorted edge table over one period, and
+the interval means, the pointwise samples and the angle integral all read
+it. Like the transient drive, it is right-continuous: at an edge, the level
+after it.
 """
 
 from __future__ import annotations
@@ -57,47 +62,16 @@ class AngleSet:
 
     @classmethod
     def from_degrees(cls, angles_deg) -> "AngleSet":
-        return cls(tuple(math.radians(a) for a in angles_deg))
+        # what is not a real number goes on as it is, for the angles' rule
+        return cls(tuple(
+            math.radians(a) if isinstance(a, numbers.Real) else a for a in angles_deg
+        ))
 
     def to_degrees(self) -> tuple[float, ...]:
         return tuple(math.degrees(a) for a in self.angles)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.angles, dtype=float)
-
-
-def _fold(phase):
-    """``(first, half, fold)``: is ``phase`` in the first half period, its angle
-    within the half period, and that angle mirrored about pi/2 into [0, pi/2].
-
-    The wrap into [0, 2 pi) is np.mod(phase, 2 pi) bit for bit. When every
-    phase is in [0, 4 pi) it takes one subtraction instead: there the fmod
-    that np.mod rests on is exact, so it returns x on [0, 2 pi) and x - 2 pi
-    on [2 pi, 4 pi), and the float subtraction x - 2 pi is exact as well
-    (Sterbenz lemma: 2 pi <= x <= 2 * 2 pi); ``+ 0.0`` turns -0.0 into the
-    +0.0 that np.mod gives a zero remainder. Any other input, an empty
-    array, NaN and +-inf included, goes through np.mod itself.
-    """
-    phase, two_pi = np.asarray(phase, dtype=float), 2 * math.pi
-    if phase.size and 0.0 <= phase.min() and phase.max() < 2 * two_pi:
-        phase = np.where(phase >= two_pi, phase - two_pi, phase + 0.0)
-    else:
-        phase = np.mod(phase, two_pi)
-    first = phase < math.pi
-    # np.mod(phase, pi) without a second divmod: phase - pi is exact on
-    # [pi, 2 pi] (Sterbenz lemma)
-    half = np.where(first, phase, phase - math.pi)
-    return first, half, np.minimum(half, math.pi - half)
-
-
-def _signed_level_count(thresholds: np.ndarray, phase) -> np.ndarray:
-    """Signed count of layers conducting at electrical angle(s) ``phase``.
-
-    Layer i conducts where thresholds[i] <= fold <= pi - thresholds[i] in
-    the half period, with the sign of that half period.
-    """
-    first, _, fold = _fold(phase)
-    return np.where(first, 1.0, -1.0) * np.searchsorted(thresholds, fold, side="right")
 
 
 def _edge_table(theta: np.ndarray):
@@ -143,23 +117,30 @@ class SteppedWaveform:
     def peak(self) -> float:
         return self.angle_set.levels * self.step_voltage
 
+    def _locate(self, name, value, period):
+        """``(x, pos, level, i)``: ``value`` wrapped into [0, period) and
+        given in periods, the edge table's positions and the level from each
+        edge on, and the index of the last edge at or before each x, so the
+        staircase is right-continuous, as the interval means read it.
+        ``value`` must be real and finite (``name`` is the argument)."""
+        value = np.asarray(value)
+        if value.dtype.kind not in "biuf" or not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name}: must be real and finite")
+        x = np.mod(value.astype(float), period) / period
+        pos, jump = _edge_table(self.angle_set.as_array())
+        return x, pos, np.cumsum(jump), np.searchsorted(pos, x, side="right") - 1
+
     def sample_at(self, t):
-        """Exact piecewise-constant evaluation at time(s) t."""
-        t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("t: must be finite")
-        omega = 2 * math.pi * self.fundamental_frequency
-        out = self.step_voltage * _signed_level_count(self.angle_set.as_array(), omega * t)
+        """v at time(s) t; at an edge, the level after it."""
+        _, _, level, i = self._locate("t", t, self.period)
+        out = self.step_voltage * level[i]  # the sums of +-1 jumps give +0.0, never -0.0
         return float(out) if out.ndim == 0 else out
 
     def angle_integral(self, phase):
         """Integral of v over electrical angle from 0 to phase (volt-radians)."""
-        pos, jump = _edge_table(self.angle_set.as_array())
-        level = np.cumsum(jump)  # from each edge on
-        area = np.concatenate(([0.0], np.cumsum(level[:-1] * np.diff(pos))))
         # full periods integrate to zero
-        x = np.mod(np.asarray(phase, dtype=float), 2 * math.pi) / (2 * math.pi)
-        i = np.searchsorted(pos, x, side="right") - 1
+        x, pos, level, i = self._locate("phase", phase, 2 * math.pi)
+        area = np.concatenate(([0.0], np.cumsum(level[:-1] * np.diff(pos))))
         out = (2 * math.pi * self.step_voltage) * (area[i] + level[i] * (x - pos[i]))
         return float(out) if out.ndim == 0 else out
 

@@ -237,3 +237,44 @@ def test_only_reporting_reads_or_writes_data_formats():
                 imported.add(node.module)
         owned = imported & {"csv", "json"}
         assert owned == ({"json"} if path.stem == "reporting" else set()), path.name
+
+
+# Settable values in src/shewpt, by one rule: each parameter of a function,
+# method or lambda but self and cls, private helpers and nested functions
+# included; each field of a dataclass; each add_argument call; and each read
+# of an environment variable. A new option changes this count.
+SETTABLE_VALUES = 248
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _is_environ(node):
+    return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+
+def _settable_values(tree) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+            count += sum(p is not None and p.arg not in ("self", "cls") for p in params)
+        elif isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            count += func.attr == "add_argument" or func.attr == "getenv" or (
+                func.attr == "get" and _is_environ(func.value)
+            )
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            count += _is_environ(node.value)
+    return count
+
+
+def test_settable_value_count():
+    package = Path(__file__).resolve().parents[1] / "src" / "shewpt"
+    found = sum(_settable_values(ast.parse(p.read_text())) for p in package.glob("*.py"))
+    assert found == SETTABLE_VALUES

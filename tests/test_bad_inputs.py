@@ -16,6 +16,7 @@ from shewpt import (
     analytic_spectrum,
     dft_spectrum,
     fundamental_rms,
+    grid_oracle,
     harmonic_amplitude,
     solve_multistart,
     solve_newton,
@@ -82,6 +83,19 @@ BAD_CALLS = [
     ("multistart-grid-str", "grid_step_deg", lambda p: solve_multistart(TARGETS, grid_step_deg="5")),
     ("link-L1-str", "L1", lambda p: WptLinkParams(
         L1="245e-6", L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
+    # TypeError from the range test of k, from the 0.05 guard, from math.radians
+    ("link-k-str", "k", lambda p: WptLinkParams(
+        L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k="0.3", R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
+    ("oracle-step-str", "step_deg", lambda p: grid_oracle(TARGETS, "1")),
+    ("from_degrees-str", "angles", lambda p: AngleSet.from_degrees("abc")),
+    ("from_degrees-none", "angles", lambda p: AngleSet.from_degrees([1.0, None])),
+    # a sample of a parsed string, a ComplexWarning
+    ("sample_at-str", "t", lambda p: WAVE.sample_at("1")),
+    ("sample_at-complex", "t", lambda p: WAVE.sample_at(1j)),
+    # nan, a RuntimeWarning from np.mod, an integral of a parsed string
+    ("angle_integral-nan", "phase", lambda p: WAVE.angle_integral(math.nan)),
+    ("angle_integral-inf", "phase", lambda p: WAVE.angle_integral(np.array([0.5, math.inf]))),
+    ("angle_integral-str", "phase", lambda p: WAVE.angle_integral("1")),
 ]
 
 
@@ -110,9 +124,15 @@ def test_bad_arguments_raise_a_validation_error_naming_them(tmp_path, argument, 
         ),
         lambda p: harmonic_amplitude(ANGLES, np.float64(500.0), np.float64(3.0)),
         lambda p: SquareDrive(np.float32(0.0), np.int64(85_000)),
+        lambda p: WAVE.sample_at(np.arange(3, dtype=np.int32)),
+        lambda p: WAVE.angle_integral(np.float32(1.0)),
+        lambda p: WptLinkParams(L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=np.float32(0.3),
+                                R_load_dc=50.0, V_dc=100.0, f_s=85e3),
+        lambda p: AngleSet.from_degrees(np.array([11, 41, 85])),
+        lambda p: grid_oracle(TARGETS, np.int64(15)),
     ],
     ids=["csv", "means", "wdft", "analytic", "newton", "angles", "orders", "amplitude",
-         "harmonic", "square"],
+         "harmonic", "square", "times", "phase", "link-k", "degrees", "oracle"],
 )
 def test_numpy_integers_and_reals_are_accepted(tmp_path, call):
     call(tmp_path / "out.csv")

@@ -1,7 +1,6 @@
 import csv
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,6 @@ from shewpt import (
     synth,
     total_rms,
 )
-from shewpt import waveform
 from shewpt.waveform import interval_mean_samples, waveform_to_csv
 
 DEG = math.pi / 180.0
@@ -96,6 +94,31 @@ class TestSample:
     def test_rejects_non_finite_time(self, waveform_3):
         with pytest.raises(ValidationError, match="t"):
             waveform_3.sample_at(math.nan)
+
+    def test_right_continuous_at_every_edge(self, solution_3, solution_4):
+        # at f1 = 1 Hz a time is its place in the period, so every edge
+        # position u, 1/2 - u, 1/2 + u, 1 - u is a time; v there is the level
+        # after the edge, as the interval means and the drive read it
+        rng = np.random.default_rng(5)
+        angle_sets = [solution_3.angle_set, solution_4.angle_set, AngleSet.from_degrees([45.0]),
+                      _random_waveform(rng, 15).angle_set]
+        for aset in angle_sets:
+            w = synth(aset, 500.0, 1.0)
+            u = aset.as_array() / (2 * math.pi)
+            on = np.arange(1.0, aset.levels + 1)  # layers on after layer i's rising edge
+            edges = np.concatenate([u, 0.5 - u, 0.5 + u, 1.0 - u])
+            after = 500.0 * np.concatenate([on, on - 1, -on, 1 - on])
+            assert np.array_equal(w.sample_at(edges), after)
+            assert [w.sample_at(float(e)) for e in edges] == list(after)
+
+    def test_a_zero_level_is_positive_zero(self, waveform_3):
+        # the zero level of the negative half period as well
+        t = np.linspace(-waveform_3.period, 2 * waveform_3.period, 30001)
+        v = waveform_3.sample_at(t)
+        zero = v == 0.0
+        assert np.count_nonzero(zero[(t % waveform_3.period) > 0.5 * waveform_3.period]) > 100
+        assert not np.signbit(v[zero]).any()
+        assert not np.signbit(waveform_3.sample_at(0.51 * waveform_3.period))
 
     @given(aset=valid_angle_sets(), phase=st.floats(0, 2 * math.pi))
     @settings(max_examples=100, deadline=None)
@@ -361,34 +384,69 @@ def _mod_fold(phase):
     return first, half, np.minimum(half, math.pi - half)
 
 
-def _fold_warnings(fold, phase):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fold(phase)
-    return out, [(w.category, str(w.message)) for w in caught]
-
-
-def _assert_folds_like_mod(phase):
-    # values, sign bits (NaN payloads too), shapes, dtypes and warnings
-    got, got_warnings = _fold_warnings(waveform._fold, phase)
-    want, want_warnings = _fold_warnings(_mod_fold, phase)
-    assert got_warnings == want_warnings
-    for g, w in zip(got, want):
-        assert (g.shape, g.dtype) == (w.shape, w.dtype)
-        assert g.tobytes() == w.tobytes()
-
-
 TWO_PI = 2 * math.pi
 FOUR_PI = 4 * math.pi
+# how close to an edge, in ulps of 2 pi, a phase may lie and be left out of
+# the comparison with the fold: there the two roundings may fall either side
+EDGE_ULPS = 16
+
+
+def _fold_levels(w, phase):
+    # v at each phase by the half-wave fold, the sign of the half period
+    # times the layers on at the folded angle; and which phases lie more
+    # than EDGE_ULPS ulps of 2 pi from every edge
+    first, _, fold = _mod_fold(phase)
+    theta = w.angle_set.as_array()
+    count = np.sum(theta <= fold[..., None], axis=-1)
+    level = np.where(first, 1.0, -1.0) * count
+    gap = np.min(np.abs(fold[..., None] - theta), axis=-1)
+    return w.step_voltage * level, gap > EDGE_ULPS * np.spacing(TWO_PI)
+
+
+def _fold_waveforms():
+    # period 2 pi, so a time is its phase: the printed 3-level angles, a
+    # layer at 45 degrees whose edges fall on the period grids, and 15
+    # random layers
+    f1 = 1 / TWO_PI
+    rng = np.random.default_rng(11)
+    angle_sets = [
+        AngleSet.from_degrees([11.9, 41.9, 85.7]),
+        AngleSet.from_degrees([45.0]),
+        _random_waveform(rng, 15).angle_set,
+    ]
+    return [synth(aset, 500.0, f1) for aset in angle_sets]
+
+
+FOLD_WAVES = _fold_waveforms()
+
+
+def _assert_samples_fold(t, excluded=0):
+    # sample_at on every FOLD_WAVES waveform equals the fold's value at each
+    # time clear of an edge, in shape and dtype too, and a 0-d time gives a
+    # float; at most ``excluded`` times per waveform are left out
+    for w in FOLD_WAVES:
+        assert w.period == TWO_PI
+        got = w.sample_at(t)
+        want, clear = _fold_levels(w, t)
+        if np.ndim(t) == 0:
+            assert type(got) is float
+        else:
+            assert (got.shape, got.dtype) == (np.shape(t), np.float64)
+        assert np.count_nonzero(~clear) <= excluded
+        assert np.array_equal(np.asarray(got)[clear], np.asarray(want)[clear])
 
 
 class TestFold:
+    """sample_at wraps any finite time into the period: it agrees with the
+    half-wave fold of the phase everywhere but within a few ulps of an edge."""
+
     def test_empty_and_zero_d(self):
-        _assert_folds_like_mod(np.array([]))
-        _assert_folds_like_mod(np.empty((0, 3)))
-        for x in (0.0, -0.0, 1.0, 7.0, -1.0, 20.0, math.nan, math.inf):
-            _assert_folds_like_mod(x)
-            _assert_folds_like_mod(np.float64(x))
+        _assert_samples_fold(np.array([]))
+        _assert_samples_fold(np.empty((0, 3)))
+        for x in (0.0, -0.0, 1.0, 7.0, -1.0, 20.0):
+            _assert_samples_fold(x)
+            _assert_samples_fold(np.float64(x))
+            _assert_samples_fold(np.array(x))
 
     def test_edge_values(self):
         tiny = np.nextafter(0.0, 1.0)
@@ -399,32 +457,32 @@ class TestFold:
             -TWO_PI, 1e300,
         ]
         for x in specials:
-            _assert_folds_like_mod(np.array([x]))
-            _assert_folds_like_mod(np.array([1.0, x, 2.0]))
-        _assert_folds_like_mod(np.array(specials))
-        # -0.0 and values just under 2 pi in an all-in-range array; the fold
-        # of -0.0 is +0.0, as np.mod gives
-        _assert_folds_like_mod(np.array([-0.0, 0.0, np.nextafter(TWO_PI, 0.0)]))
-        assert not np.signbit(waveform._fold(np.array([-0.0]))[1][0])
+            _assert_samples_fold(np.array([x]))
+            _assert_samples_fold(np.array([1.0, x, 2.0]))
+        _assert_samples_fold(np.array(specials))
+        _assert_samples_fold(np.array([-0.0, 0.0, np.nextafter(TWO_PI, 0.0)]))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 512, 4096, 8192, 65536])
     def test_period_grids(self, n):
+        # only the 45-degree layer's four edges lie on a grid, once a period
         grid = TWO_PI / n
-        _assert_folds_like_mod(np.linspace(0.0, TWO_PI, n + 1))
-        _assert_folds_like_mod((np.arange(n) + 0.5) * grid)  # step midpoints
-        _assert_folds_like_mod(np.arange(2 * n + 1) * grid)  # two periods
+        _assert_samples_fold(np.linspace(0.0, TWO_PI, n + 1), excluded=4)
+        _assert_samples_fold((np.arange(n) + 0.5) * grid)  # step midpoints
+        _assert_samples_fold(np.arange(2 * n + 1) * grid, excluded=8)  # two periods
 
     def test_random_phases(self):
         rng = np.random.default_rng(13)
         for lo, hi in ((0.0, FOUR_PI), (0.0, TWO_PI), (TWO_PI, FOUR_PI), (-20.0, 20.0),
                        (-1e-12, 1.0), (FOUR_PI - 1e-12, FOUR_PI + 1.0)):
-            _assert_folds_like_mod(rng.uniform(lo, hi, 10_000))
+            _assert_samples_fold(rng.uniform(lo, hi, 10_000))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite(self, bad):
-        _assert_folds_like_mod(np.array([bad]))
-        _assert_folds_like_mod(np.array([0.5, bad, 7.0]))
-        _assert_folds_like_mod(np.array([math.nan, math.inf, -math.inf, 1.0]))
+        for t in (bad, np.array([bad]), np.array([0.5, bad, 7.0]),
+                  np.array([math.nan, math.inf, -math.inf, 1.0])):
+            for w in FOLD_WAVES:
+                with pytest.raises(ValidationError, match="^t: "):
+                    w.sample_at(t)
 
     def test_empty_time_and_phase_arrays(self, waveform_3):
         for out in (waveform_3.sample_at(np.array([])), waveform_3.angle_integral(np.array([]))):
