@@ -44,8 +44,9 @@ LATTICE_POINT_LIMIT = 1_000_000_000
 TOL_MAX = 1e-6
 # about 15 minutes of multistart at 0.09 ms per seed (4-level targets, 2.5 deg)
 MULTISTART_SEED_LIMIT = 10_000_000
-# scores per grid_oracle array (512 KiB), or one prefix's row where that is
-# longer: the 1 degree 4-level lattices never split, finer ones do
+# scores per grid_oracle matrix product (512 KiB), or one prefix's row where
+# that is longer: the 1 degree 4-level lattices never split a prefix group,
+# finer ones do; only the few blocks near the least score are scored twice
 ORACLE_BLOCK = 1 << 16
 
 
@@ -285,7 +286,12 @@ def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarra
     have at least one and at most ``limit`` ascending k-tuples (``name`` is
     the argument)."""
     _check_magnitude(name, step_deg)
-    m = int(math.ceil(90.0 / step_deg)) - 1
+    count = 90.0 / step_deg
+    # also inf, for a subnormal step; more than ``limit`` values give more
+    # than ``limit`` tuples
+    if not count <= limit:
+        raise ValidationError(f"{name}: lattice of {count:g} values exceeds the cost guard")
+    m = int(math.ceil(count)) - 1
     if m < k:
         raise ValidationError(
             f"{name}: lattice of {m} values has no ascending {k}-tuples"
@@ -379,6 +385,32 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
 
     Independent of the Newton path; ties break to the lexicographically
     smallest angle tuple. Guarded against lattices above 1e9 points.
+
+    Each tuple splits into a prefix and a suffix of p = K // 2 and s = K - p
+    angles, with per-order cosine sums P and S. Pass 1 scores each block of
+    tuples with one matrix product of augmented vectors, [2P; |P|^2; 1]^T
+    [S; 1; |S|^2] = |P + S|^2, and keeps the block's minimum. Pass 2 rescores
+    elementwise, ((P_0 + S_0)^2 + (P_1 + S_1)^2) + ..., every tuple whose
+    product score is within tau of the least one, and returns the min of
+    (score, index tuple) by those exact bits.
+
+    Why no minimizer is lost: with u = 2^-53 and gamma_n = n u / (1 - n u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    3.1), every |P_k| <= p and |S_k| <= s, so r = sum_k (P_k + S_k)^2 and
+    sum_k (|P_k| + |S_k|)^2 are at most K (p + s)^2 = K^3.
+    - The elementwise score is within gamma_{K+2} r of r: each term meets at
+      most K + 2 roundings (its add, twice through the square; the square;
+      K - 1 adds).
+    - The squared norms are within gamma_K of theirs, in any summation order.
+    - The product is an inner product of length K + 2, within gamma_{K+2}
+      sum_i |a_i b_i| <= gamma_{K+2} (1 + gamma_K) K^3 of its exact value in
+      any BLAS summation order, with or without FMA, so on any thread count.
+    So the product and the elementwise score differ by at most
+    (2 (1 + gamma_K) gamma_{K+2} + gamma_K) K^3 < 3.01 gamma_{K+2} K^3.
+    e = 4 gamma_{K+2} K^3 leaves room for underflow and for the rounding of
+    the cut, and tau = 2 e. The least exact score is within e of the least
+    product score, and an exact minimizer's product score within e of it:
+    it is rescored, with every tuple tied with it.
     """
     _check_magnitude("step_deg", step_deg)
     if step_deg < 0.05:
@@ -410,19 +442,37 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     prefix_combos = prefix_combos[np.argsort(prefix_combos[:, -1], kind="stable")]
     prefix_sums = cos_tab[:, prefix_combos].sum(axis=2)  # (K, n_prefix)
     groups = np.searchsorted(prefix_combos[:, -1], np.arange(m + 1))
+    # rows [2P; |P|^2; 1] and columns [S; 1; |S|^2]: their product is |P + S|^2
+    norms = (prefix_sums**2).sum(axis=0)
+    prefix_aug = np.column_stack((2 * prefix_sums.T, norms, np.ones_like(norms)))
+    norms = (suffix_sums**2).sum(axis=0)
+    suffix_aug = np.vstack((suffix_sums, np.ones_like(norms), norms))
+    # tau = 2 e = 8 gamma_{K+2} K^3, as derived above
+    n_u = (k + 2) * 2.0**-53
+    tau = 8 * n_u / (1 - n_u) * k**3
 
-    best = (math.inf, ())
+    blocks = []
     for last in range(p - 1, m - s):
         start = offsets[last + 1]
-        suffix = suffix_sums[:, start:]
-        rows = max(1, ORACLE_BLOCK // suffix.shape[1])
+        rows = max(1, ORACLE_BLOCK // (len(suffix_combos) - start))
         for lo in range(groups[last], groups[last + 1], rows):
-            partial = prefix_sums[:, lo : min(lo + rows, groups[last + 1])]
-            scores = (partial[0][:, None] + suffix[0]) ** 2
-            for order in range(1, k):
-                scores += (partial[order][:, None] + suffix[order]) ** 2
-            # row-major argmin: the lexicographically first tuple of this block
-            i, j = divmod(int(np.argmin(scores)), scores.shape[1])
-            tie_key = tuple(prefix_combos[lo + i]) + tuple(suffix_combos[start + j])
-            best = min(best, (float(scores[i, j]), tie_key))
+            blocks.append((lo, min(lo + rows, groups[last + 1]), start))
+    lows = [(prefix_aug[lo:hi] @ suffix_aug[:, start:]).min() for lo, hi, start in blocks]
+    cut = min(lows) + tau
+
+    best = (math.inf, ())
+    for (lo, hi, start), low in zip(blocks, lows):
+        if low > cut:
+            continue
+        # row-major candidates: the first of least score is the
+        # lexicographically first tuple of this block
+        i, j = np.nonzero(prefix_aug[lo:hi] @ suffix_aug[:, start:] <= cut)
+        partial = prefix_sums[:, lo + i]
+        suffix = suffix_sums[:, start + j]
+        scores = (partial[0] + suffix[0]) ** 2
+        for order in range(1, k):
+            scores += (partial[order] + suffix[order]) ** 2
+        c = int(np.argmin(scores))
+        tie_key = tuple(prefix_combos[lo + i[c]]) + tuple(suffix_combos[start + j[c]])
+        best = min(best, (float(scores[c]), tie_key))
     return AngleSet(tuple(theta[list(best[1])]))

@@ -62,10 +62,12 @@ class AngleSet:
 
     @classmethod
     def from_degrees(cls, angles_deg) -> "AngleSet":
+        try:
+            values = iter(angles_deg)
+        except TypeError:
+            raise ValidationError(f"angles: {angles_deg!r} is not a sequence") from None
         # what is not a real number goes on as it is, for the angles' rule
-        return cls(tuple(
-            math.radians(a) if isinstance(a, numbers.Real) else a for a in angles_deg
-        ))
+        return cls(tuple(math.radians(a) if isinstance(a, numbers.Real) else a for a in values))
 
     def to_degrees(self) -> tuple[float, ...]:
         return tuple(math.degrees(a) for a in self.angles)

@@ -81,6 +81,9 @@ BAD_CALLS = [
     ("square-frequency-str", "frequency", lambda p: SquareDrive(1.0, "85e3")),
     ("synth-step-str", "step_voltage", lambda p: synth(ANGLES, "1", 85e3)),
     ("multistart-grid-str", "grid_step_deg", lambda p: solve_multistart(TARGETS, grid_step_deg="5")),
+    # OverflowError from ceil(90 / 1e-320), which is inf
+    ("multistart-grid-1e-320", "grid_step_deg",
+     lambda p: solve_multistart(TARGETS, grid_step_deg=1e-320)),
     ("link-L1-str", "L1", lambda p: WptLinkParams(
         L1="245e-6", L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
     # TypeError from the range test of k, from the 0.05 guard, from math.radians
@@ -89,6 +92,8 @@ BAD_CALLS = [
     ("oracle-step-str", "step_deg", lambda p: grid_oracle(TARGETS, "1")),
     ("from_degrees-str", "angles", lambda p: AngleSet.from_degrees("abc")),
     ("from_degrees-none", "angles", lambda p: AngleSet.from_degrees([1.0, None])),
+    # TypeError: a bare number was iterated
+    ("from_degrees-number", "angles", lambda p: AngleSet.from_degrees(5)),
     # a sample of a parsed string, a ComplexWarning
     ("sample_at-str", "t", lambda p: WAVE.sample_at("1")),
     ("sample_at-complex", "t", lambda p: WAVE.sample_at(1j)),

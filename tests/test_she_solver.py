@@ -6,6 +6,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shewpt import (
     AngleSet,
@@ -602,6 +605,52 @@ def _exhaustive_oracle(orders, step_deg):
     return tuple(theta[list(best[1])])
 
 
+PARENT_ORACLE_BLOCK = 1 << 16
+
+
+def _blocked_oracle(orders, step_deg):
+    """The elementwise blocked scorer the matrix-product oracle replaced:
+    meet in the middle, each block's scores summed order by order, its
+    row-major argmin kept, then the min of (score, index tuple)."""
+    theta = np.radians(np.arange(1, int(math.ceil(90.0 / step_deg))) * step_deg)
+    m, k = len(theta), len(orders)
+    cos_tab = np.cos(np.asarray(orders, dtype=float)[:, None] * theta[None, :])
+    p, s = k // 2, k - k // 2
+    suffix_combos = np.array(list(combinations(range(m), s)), dtype=np.intp)
+    suffix_sums = cos_tab[:, suffix_combos].sum(axis=2)
+    offsets = np.searchsorted(suffix_combos[:, 0], np.arange(m + 1))
+    prefix_combos = np.array(list(combinations(range(m), p)), dtype=np.intp)
+    prefix_combos = prefix_combos[np.argsort(prefix_combos[:, -1], kind="stable")]
+    prefix_sums = cos_tab[:, prefix_combos].sum(axis=2)
+    groups = np.searchsorted(prefix_combos[:, -1], np.arange(m + 1))
+    best = (math.inf, ())
+    for last in range(p - 1, m - s):
+        start = offsets[last + 1]
+        suffix = suffix_sums[:, start:]
+        rows = max(1, PARENT_ORACLE_BLOCK // suffix.shape[1])
+        for lo in range(groups[last], groups[last + 1], rows):
+            partial = prefix_sums[:, lo : min(lo + rows, groups[last + 1])]
+            scores = (partial[0][:, None] + suffix[0]) ** 2
+            for order in range(1, k):
+                scores += (partial[order][:, None] + suffix[order]) ** 2
+            i, j = divmod(int(np.argmin(scores)), scores.shape[1])
+            tie_key = tuple(prefix_combos[lo + i]) + tuple(suffix_combos[start + j])
+            best = min(best, (float(scores[i, j]), tie_key))
+    return tuple(theta[list(best[1])])
+
+
+def _splits_a_prefix_group(k, step_deg):
+    """Whether grid_oracle scores some prefix group in more than one block."""
+    m = int(math.ceil(90.0 / step_deg)) - 1
+    p, s = k // 2, k - k // 2
+    for last in range(p - 1, m - s):
+        suffixes = math.comb(m - last - 1, s)
+        rows = max(1, she_solver.ORACLE_BLOCK // suffixes)
+        if math.comb(last, p - 1) > rows:
+            return True
+    return False
+
+
 class TestGridOracle:
     @pytest.mark.parametrize(
         "orders, step",
@@ -619,6 +668,57 @@ class TestGridOracle:
     def test_equals_the_exhaustive_search(self, orders, step):
         got = grid_oracle(HarmonicTargetSet(orders), step)
         assert got.angles == _exhaustive_oracle(orders, step)
+
+    @pytest.mark.parametrize(
+        "orders, step",
+        [
+            # the four branches sets at 1 degree
+            ((3, 5, 7), 1.0),
+            ((3, 5, 7, 9), 1.0),
+            ((5, 7, 11), 1.0),
+            ((5, 7, 11, 13), 1.0),
+            ((3, 5), 0.25),
+            ((5, 7), 2.0),
+            ((3, 5, 7), 0.5),
+            ((3, 7, 9), 3.0),
+            ((3, 5, 7, 9), 2.5),
+            ((3, 5, 7, 9, 11), 3.0),
+            ((5, 7, 11, 13, 17), 6.0),
+            ((3, 5, 7, 9, 11, 13), 4.0),
+            ((5, 7, 11, 13, 17, 19), 7.5),
+            # prefix groups split into several row blocks
+            ((3, 5, 7, 9), 0.75),
+            ((3, 5, 7, 9, 11, 13), 2.0),
+        ],
+    )
+    def test_matches_the_blocked_scorer(self, orders, step):
+        got = grid_oracle(HarmonicTargetSet(orders), step)
+        assert got.angles == _blocked_oracle(orders, step)
+
+    @pytest.mark.parametrize("k, step", [(4, 0.75), (6, 2.0)])
+    def test_the_split_cases_split(self, k, step):
+        assert _splits_a_prefix_group(k, step)
+        assert not _splits_a_prefix_group(k, 1.0 if k == 4 else 4.0)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_product_and_elementwise_scores_differ_by_at_most_half_tau(self, data):
+        # sums of p and s cosines: |P_k| <= p, |S_k| <= s
+        k = data.draw(st.integers(2, 6))
+        p, s = k // 2, k - k // 2
+        prefix = data.draw(hnp.arrays(float, (k, 3), elements=st.floats(-p, p)))
+        suffix = data.draw(hnp.arrays(float, (k, 4), elements=st.floats(-s, s)))
+        # grid_oracle's pass 1: rows [2P; |P|^2; 1] times columns [S; 1; |S|^2]
+        norms = (prefix**2).sum(axis=0)
+        rows = np.column_stack((2 * prefix.T, norms, np.ones_like(norms)))
+        norms = (suffix**2).sum(axis=0)
+        product = rows @ np.vstack((suffix, np.ones_like(norms), norms))
+        exact = (prefix[0][:, None] + suffix[0]) ** 2
+        for order in range(1, k):
+            exact += (prefix[order][:, None] + suffix[order]) ** 2
+        # tau / 2 = 4 gamma_{k+2} k^3
+        n_u = (k + 2) * 2.0**-53
+        assert np.all(np.abs(product - exact) <= 4 * n_u / (1 - n_u) * k**3)
 
     def test_single_order(self):
         aset = grid_oracle(HarmonicTargetSet((3,)), 0.1)
