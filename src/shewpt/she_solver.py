@@ -287,8 +287,8 @@ def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarra
     the argument)."""
     _check_magnitude(name, step_deg)
     count = 90.0 / step_deg
-    # also inf, for a subnormal step; more than ``limit`` values give more
-    # than ``limit`` tuples
+    # checked before ceil, which overflows on the inf of a subnormal step;
+    # more than ``limit`` values give more than ``limit`` tuples
     if not count <= limit:
         raise ValidationError(f"{name}: lattice of {count:g} values exceeds the cost guard")
     m = int(math.ceil(count)) - 1

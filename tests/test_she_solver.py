@@ -695,10 +695,10 @@ class TestGridOracle:
         got = grid_oracle(HarmonicTargetSet(orders), step)
         assert got.angles == _blocked_oracle(orders, step)
 
-    @pytest.mark.parametrize("k, step", [(4, 0.75), (6, 2.0)])
-    def test_the_split_cases_split(self, k, step):
-        assert _splits_a_prefix_group(k, step)
-        assert not _splits_a_prefix_group(k, 1.0 if k == 4 else 4.0)
+    @pytest.mark.parametrize("k, split, whole", [(4, 0.75, 1.0), (6, 2.0, 4.0)])
+    def test_the_split_cases_split(self, k, split, whole):
+        assert _splits_a_prefix_group(k, split)
+        assert not _splits_a_prefix_group(k, whole)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
