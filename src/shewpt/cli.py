@@ -159,8 +159,8 @@ def cmd_spectrum(args) -> int:
     eliminated = () if args.eliminated is None else _parse_list(
         args.eliminated, "eliminated", int
     )
-    spec, report = spec_mod._spectrum_and_thd_report(
-        w, args.n_max, eliminated, args.samples
+    spec, report = spec_mod._spectrum_and_report(
+        w, args.n_max, eliminated, spec_mod.THD_BAND_TOTAL, args.samples
     )
     csv_path = out_dir / "spectrum.csv"
     spec_mod.spectrum_to_csv(spec, csv_path)

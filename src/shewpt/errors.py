@@ -39,8 +39,8 @@ class UndefinedThdError(ValidationError):
 
 def _check_count(name: str, value, minimum: int) -> None:
     """A count (samples, orders, iterations, steps) is an int or a numpy
-    integer, not a float of any value, and at least ``minimum``."""
-    if not isinstance(value, (int, np.integer)):
+    integer, not a bool or a float of any value, and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: {value!r} must be an integer")
     if value < minimum:
         raise ValidationError(f"{name}: {value!r} must be >= {minimum}")
@@ -48,8 +48,18 @@ def _check_count(name: str, value, minimum: int) -> None:
 
 def _check_magnitude(name: str, value, allow_zero: bool = False) -> None:
     """A magnitude (a voltage, a frequency, a component value, a lattice step)
-    is a real number, not a string, finite and > 0, or >= 0 where ``allow_zero``."""
-    real = isinstance(value, numbers.Real) and math.isfinite(value)
+    is a real number, not a bool or a string, finite and > 0, or >= 0 where
+    ``allow_zero``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     if not (real and (value > 0 or allow_zero and value == 0)):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValidationError(f"{name}: {value!r} must be finite and {bound}")
+
+
+def _as_tuple(name: str, values) -> tuple:
+    """The items of ``values``; a bare value is not a sequence."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValidationError(f"{name}: {values!r} is not a sequence") from None
+    return tuple(items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     NonConvergenceError,
     SingularMatrixError,
     ValidationError,
+    _as_tuple,
     _check_count,
     _check_magnitude,
 )
@@ -57,7 +58,7 @@ class HarmonicTargetSet:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(self.orders)
+        orders = _as_tuple("orders", self.orders)
         if len(orders) == 0:
             raise ValidationError("orders: at least one harmonic order required")
         for i, n in enumerate(orders):
@@ -167,7 +168,8 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     Returns the last iterates (S, K), their residual norms, the outcome
     codes and the iteration counts (the step at which the seed retired).
     """
-    if not 0 < tol <= TOL_MAX:
+    _check_magnitude("tol", tol)
+    if not tol <= TOL_MAX:
         raise ValidationError(f"tol: {tol!r} must be in (0, {TOL_MAX!r}]")
     _check_count("max_iter", max_iter, 1)
     theta = np.array(theta0, dtype=float)
@@ -432,11 +434,15 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     # (prefixes, suffixes) array, ORACLE_BLOCK scores at a time
     p = k // 2
     s = k - p
-    suffix_combos = np.array(list(combinations(range(m), s)), dtype=np.intp)
+    suffix_combos = np.fromiter(
+        chain.from_iterable(combinations(range(m), s)), dtype=np.intp
+    ).reshape(-1, s)
     suffix_sums = cos_tab[:, suffix_combos].sum(axis=2)  # (K, n_suffix)
     # combinations() is lexicographic, so first indices are non-decreasing
     offsets = np.searchsorted(suffix_combos[:, 0], np.arange(m + 1))
-    prefix_combos = np.array(list(combinations(range(m), p)), dtype=np.intp)
+    prefix_combos = np.fromiter(
+        chain.from_iterable(combinations(range(m), p)), dtype=np.intp
+    ).reshape(-1, p)
     # for p >= 3 lexicographic prefixes are not sorted by their last index;
     # a stable sort keeps each group in lexicographic order
     prefix_combos = prefix_combos[np.argsort(prefix_combos[:, -1], kind="stable")]

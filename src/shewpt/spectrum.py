@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedThdError, ValidationError, _check_count, _check_magnitude
+from .errors import UndefinedThdError, ValidationError, _as_tuple, _check_count, _check_magnitude
 from .reporting import _write_csv
 from .waveform import (
     AngleSet,
@@ -155,37 +155,37 @@ def thd_total_closed_form(angle_set: AngleSet, step_voltage: float) -> float:
     return math.sqrt(max(0.0, (v_rms / v1) ** 2 - 1.0))
 
 
-def _band_orders(band_total: int, samples_per_period: int) -> int:
-    """Orders the THD band takes from the DFT; fewer samples than they need
-    are rejected."""
-    n_max = max(21, band_total)
-    if samples_per_period < 2 * n_max + 2:
+def _spectrum_and_report(
+    w: SteppedWaveform, n_max: int, eliminated_orders, band_total: int, samples_per_period: int
+) -> tuple[HarmonicSpectrum, ThdReport]:
+    """The spectrum of w to n_max orders and its ThdReport over band_total
+    orders, from one DFT to the larger of n_max and the band, max(21,
+    band_total) orders. Each order's amplitude is an elementwise function of
+    its bin, so both take the bits of a DFT to their own orders."""
+    _check_count("n_max", n_max, 1)
+    _check_count("band_total", band_total, 1)
+    _check_count("samples_per_period", samples_per_period, 2)
+    eliminated_orders = _as_tuple("eliminated_orders", eliminated_orders)
+    band = max(21, band_total)
+    if samples_per_period < 2 * band + 2:
         raise ValidationError(
             f"samples_per_period: {samples_per_period} too few for the "
-            f"{n_max}-order THD band (Nyquist)"
+            f"{band}-order THD band (Nyquist)"
         )
-    return n_max
-
-
-def _report_from_spectrum(
-    w: SteppedWaveform, spec: HarmonicSpectrum, eliminated_orders, band_total: int
-) -> ThdReport:
+    spec = waveform_dft_spectrum(w, max(n_max, band), samples_per_period)
     # only the band's orders: an eliminated order past them is out of range
     # even when spec runs further
-    spec = HarmonicSpectrum(
-        spec.fundamental_frequency, spec.amplitudes[: max(21, band_total) + 1]
-    )
-    a1 = spec.amplitude(1)
-    rel = 0.0
-    for n in eliminated_orders:
-        rel = max(rel, spec.amplitude(n) / a1)
-    return ThdReport(
+    in_band = HarmonicSpectrum(spec.fundamental_frequency, spec.amplitudes[: band + 1])
+    a1 = in_band.amplitude(1)
+    rel = max((in_band.amplitude(n) / a1 for n in eliminated_orders), default=0.0)
+    report = ThdReport(
         thd_total=thd_total_closed_form(w.angle_set, w.step_voltage),
-        thd_21=thd(spec, 21),
+        thd_21=thd(in_band, 21),
         band_total=band_total,
-        thd_band=thd(spec, band_total),
+        thd_band=thd(in_band, band_total),
         eliminated_orders_max_relative=rel,
     )
+    return HarmonicSpectrum(spec.fundamental_frequency, spec.amplitudes[: n_max + 1]), report
 
 
 def thd_report(
@@ -194,27 +194,7 @@ def thd_report(
     band_total: int = THD_BAND_TOTAL,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
 ) -> ThdReport:
-    n_max = _band_orders(band_total, samples_per_period)
-    spec = waveform_dft_spectrum(w, n_max=n_max, samples_per_period=samples_per_period)
-    return _report_from_spectrum(w, spec, eliminated_orders, band_total)
-
-
-def _spectrum_and_thd_report(
-    w: SteppedWaveform, n_max: int, eliminated_orders, samples_per_period: int
-) -> tuple[HarmonicSpectrum, ThdReport]:
-    """waveform_dft_spectrum(w, n_max, samples_per_period) and the default
-    thd_report of w at that count, from one DFT.
-
-    The DFT runs to the larger of n_max and the band; each order's
-    amplitude is an elementwise function of its bin, so the orders up to
-    n_max are the bits a DFT to n_max gives. The inputs are checked as the
-    two calls would check them, in the same order.
-    """
-    _check_dft_size(samples_per_period, n_max)
-    band = _band_orders(THD_BAND_TOTAL, samples_per_period)
-    spec = waveform_dft_spectrum(w, max(n_max, band), samples_per_period)
-    report = _report_from_spectrum(w, spec, eliminated_orders, THD_BAND_TOTAL)
-    return HarmonicSpectrum(spec.fundamental_frequency, spec.amplitudes[: n_max + 1]), report
+    return _spectrum_and_report(w, 21, eliminated_orders, band_total, samples_per_period)[1]
 
 
 def spectrum_to_csv(spectrum: HarmonicSpectrum, path) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_count, _check_magnitude
+from .errors import ValidationError, _as_tuple, _check_count, _check_magnitude
 from .reporting import _write_csv
 
 __all__ = [
@@ -42,7 +42,7 @@ class AngleSet:
     angles: tuple[float, ...]
 
     def __post_init__(self):
-        angles = tuple(self.angles)
+        angles = _as_tuple("angles", self.angles)
         if len(angles) == 0:
             raise ValidationError("angles: at least one firing angle required")
         for i, a in enumerate(angles):
@@ -62,10 +62,7 @@ class AngleSet:
 
     @classmethod
     def from_degrees(cls, angles_deg) -> "AngleSet":
-        try:
-            values = iter(angles_deg)
-        except TypeError:
-            raise ValidationError(f"angles: {angles_deg!r} is not a sequence") from None
+        values = _as_tuple("angles", angles_deg)
         # what is not a real number goes on as it is, for the angles' rule
         return cls(tuple(math.radians(a) if isinstance(a, numbers.Real) else a for a in values))
 

@@ -45,7 +45,8 @@ class WptLinkParams:
         for name in ("L1", "L2", "C1", "C2", "R_load_dc", "V_dc", "f_s"):
             _check_magnitude(name, getattr(self, name))
         # k = 0 is admitted as the uncoupled limit
-        if not (isinstance(self.k, numbers.Real) and 0.0 <= self.k < 1.0):
+        _check_magnitude("k", self.k, allow_zero=True)
+        if not self.k < 1.0:
             raise ValidationError(f"k: {self.k!r} must be in [0, 1)")
         for name in ("R1", "R2", "diode_drop"):
             _check_magnitude(name, getattr(self, name), allow_zero=True)

@@ -11,6 +11,7 @@ from shewpt import (
     AngleSet,
     HarmonicTargetSet,
     SquareDrive,
+    SteppedWaveform,
     ValidationError,
     WptLinkParams,
     analytic_spectrum,
@@ -21,6 +22,7 @@ from shewpt import (
     solve_multistart,
     solve_newton,
     synth,
+    thd,
     thd_report,
     thd_total_closed_form,
     total_rms,
@@ -33,6 +35,7 @@ pytestmark = pytest.mark.filterwarnings("error")
 ANGLES = AngleSet.from_degrees([11.0, 41.0, 85.0])
 WAVE = synth(ANGLES, 500.0, 85e3)
 TARGETS = HarmonicTargetSet((3, 5, 7))
+SPEC = analytic_spectrum(ANGLES, 500.0, 85e3, 21)
 
 # (id, the argument the message names, the call)
 BAD_CALLS = [
@@ -101,6 +104,43 @@ BAD_CALLS = [
     ("angle_integral-nan", "phase", lambda p: WAVE.angle_integral(math.nan)),
     ("angle_integral-inf", "phase", lambda p: WAVE.angle_integral(np.array([0.5, math.inf]))),
     ("angle_integral-str", "phase", lambda p: WAVE.angle_integral("1")),
+    # a bool is neither a count nor a magnitude: 0.0, a 1 degree lattice, one
+    # iteration, an accepted field, or a TypeError from a boolean index
+    ("thd-n_max-true", "n_max", lambda p: thd(SPEC, True)),
+    ("oracle-step-true", "step_deg", lambda p: grid_oracle(TARGETS, True)),
+    ("multistart-grid-true", "grid_step_deg",
+     lambda p: solve_multistart(TARGETS, grid_step_deg=True)),
+    ("newton-max_iter-true", "max_iter", lambda p: solve_newton(ANGLES, TARGETS, max_iter=True)),
+    ("wave-step-true", "step_voltage", lambda p: SteppedWaveform(ANGLES, True, 50.0)),
+    ("square-amplitude-false", "amplitude", lambda p: SquareDrive(amplitude=False, frequency=85e3)),
+    ("link-k-false", "k", lambda p: WptLinkParams(
+        L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=False, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
+    ("amplitude-n-true", "n", lambda p: SPEC.amplitude(True)),
+    ("thd_report-order-true", "n", lambda p: thd_report(WAVE, eliminated_orders=(True,))),
+    # TypeError from the comparison 0 < tol
+    ("newton-tol-str", "tol", lambda p: solve_newton(ANGLES, TARGETS, tol="1e-12")),
+    ("multistart-tol-none", "tol",
+     lambda p: solve_multistart(TARGETS, grid_step_deg=15.0, tol=None)),
+    # TypeError: a bare value was iterated
+    ("angles-number", "angles", lambda p: AngleSet(0.5)),
+    ("orders-number", "orders", lambda p: HarmonicTargetSet(3)),
+    # TypeError from the band's Nyquist test, or an error naming samples or
+    # n_max, which the caller never passed
+    ("thd_report-samples-str", "samples_per_period",
+     lambda p: thd_report(WAVE, samples_per_period="8192")),
+    ("thd_report-samples-none", "samples_per_period",
+     lambda p: thd_report(WAVE, samples_per_period=None)),
+    ("thd_report-samples-8192.0", "samples_per_period",
+     lambda p: thd_report(WAVE, samples_per_period=8192.0)),
+    ("thd_report-band-str", "band_total", lambda p: thd_report(WAVE, band_total="5")),
+    ("thd_report-band-none", "band_total", lambda p: thd_report(WAVE, band_total=None)),
+    ("thd_report-band-0", "band_total", lambda p: thd_report(WAVE, band_total=0)),
+    ("thd_report-band-2.5", "band_total", lambda p: thd_report(WAVE, band_total=2.5)),
+    # TypeError: the orders were iterated
+    ("thd_report-eliminated-3", "eliminated_orders",
+     lambda p: thd_report(WAVE, eliminated_orders=3)),
+    ("thd_report-eliminated-none", "eliminated_orders",
+     lambda p: thd_report(WAVE, eliminated_orders=None)),
 ]
 
 
@@ -135,9 +175,10 @@ def test_bad_arguments_raise_a_validation_error_naming_them(tmp_path, argument, 
                                 R_load_dc=50.0, V_dc=100.0, f_s=85e3),
         lambda p: AngleSet.from_degrees(np.array([11, 41, 85])),
         lambda p: grid_oracle(TARGETS, np.int64(15)),
+        lambda p: thd_report(WAVE, np.array([3, 5]), np.int64(99), np.int64(1024)),
     ],
     ids=["csv", "means", "wdft", "analytic", "newton", "angles", "orders", "amplitude",
-         "harmonic", "square", "times", "phase", "link-k", "degrees", "oracle"],
+         "harmonic", "square", "times", "phase", "link-k", "degrees", "oracle", "thd_report"],
 )
 def test_numpy_integers_and_reals_are_accepted(tmp_path, call):
     call(tmp_path / "out.csv")
