@@ -56,6 +56,13 @@ def _check_magnitude(name: str, value, allow_zero: bool = False) -> None:
         raise ValidationError(f"{name}: {value!r} must be finite and {bound}")
 
 
+def _check_path(path) -> None:
+    """A file path is a string or a path object. open() takes an integer (a
+    bool, a numpy integer) as a file descriptor, and closes it after."""
+    if isinstance(path, (int, np.integer)):
+        raise ValidationError(f"path: {path!r} is an integer, not a file path")
+
+
 def _as_tuple(name: str, values) -> tuple:
     """The items of ``values``; a bare value is not a sequence."""
     try:

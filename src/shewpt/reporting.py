@@ -16,6 +16,8 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import _check_path
+
 __all__ = [
     "ComparisonRow",
     "RunReport",
@@ -97,6 +99,7 @@ def _write_csv(path, header, *columns) -> None:
     CRLF (the csv module's default dialect). A chunk of rows is one ``%``
     of the repeated row template: ``%r`` is ``repr``.
     """
+    _check_path(path)
     columns = [np.asarray(col) for col in columns]
     row = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
@@ -112,12 +115,14 @@ def _read_json(path):
 
 
 def write_json(obj, path) -> None:
+    _check_path(path)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_meta_sidecar(path) -> None:
+    _check_path(path)
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
     write_json(meta, str(path) + ".meta.json")
 
@@ -136,6 +141,7 @@ def _svg_header():
 
 def waveform_svg(t, v, path) -> None:
     """Polyline plot of one waveform period, a vertex at each end of a run of equal v."""
+    _check_path(path)
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -164,6 +170,7 @@ def waveform_svg(t, v, path) -> None:
 
 def spectrum_svg(orders, rel_amplitudes, path) -> None:
     """Bar chart of harmonic amplitudes relative to the fundamental."""
+    _check_path(path)
     width, height = _SVG_WIDTH, _SVG_HEIGHT
     orders = list(orders)
     rel = np.asarray(rel_amplitudes, dtype=float)

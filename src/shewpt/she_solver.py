@@ -53,7 +53,15 @@ ORACLE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class HarmonicTargetSet:
-    """Odd harmonic orders (>= 3, ascending) to be driven to zero."""
+    """Odd harmonic orders (>= 3, ascending) to be driven to zero.
+
+    Two or more orders must share no factor: when every order is a multiple
+    of one odd d >= 3, theta and pi/d - theta cancel in every equation, so
+    the roots form continua and a multistart would return samples of them
+    as branches. The rule also rejects a set such as (3, 15, 21, 27), which
+    holds isolated roots beside its continuum. One order alone has isolated
+    roots, and stays valid.
+    """
 
     orders: tuple[int, ...]
 
@@ -71,6 +79,11 @@ class HarmonicTargetSet:
         object.__setattr__(self, "orders", orders)
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValidationError("orders: must be strictly ascending")
+        factor = math.gcd(*orders)
+        if len(orders) > 1 and factor > 1:
+            raise ValidationError(
+                f"orders: {orders} share the factor {factor}; their roots are not isolated"
+            )
 
     @property
     def size(self) -> int:
@@ -184,6 +197,8 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
         status[active[done]] = CONVERGED
         iters[active[done]] = it
         active = active[~done]
+        if not len(active):
+            break
         jac = _jacobian_raw(theta[active], orders)
         frob_k = np.einsum("sij,sij->s", jac, jac) ** (len(orders) / 2)
         singular = frob_k >= CONDITION_LIMIT / 2 * np.abs(np.linalg.det(jac))

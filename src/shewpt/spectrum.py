@@ -9,6 +9,7 @@ signal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,9 +84,12 @@ def _check_dft_size(count: int, n_max: int):
 def dft_spectrum(samples, f1: float, n_max: int) -> HarmonicSpectrum:
     """Plain harmonic-aligned DFT of one uniformly sampled period."""
     _check_magnitude("f1", f1)
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or not np.isfinite(samples).all():
-        raise ValidationError("samples: must be one period of finite values")
+    samples = np.asarray(samples)
+    # not a string, a complex or a bool
+    real = samples.dtype.kind in "iuf"
+    if not (real and samples.ndim == 1 and np.isfinite(samples).all()):
+        raise ValidationError("samples: must be one period of real, finite values")
+    samples = samples.astype(float, copy=False)
     _check_dft_size(len(samples), n_max)
     bins = np.fft.rfft(samples) / len(samples)
     amps = np.zeros(n_max + 1)
@@ -105,6 +109,16 @@ def analytic_spectrum(
     return HarmonicSpectrum(fundamental_frequency=f1, amplitudes=amps)
 
 
+@functools.lru_cache(maxsize=8)
+def _hold_factor(samples_per_period: int, n_max: int) -> np.ndarray:
+    """exp(i*pi*n/N) * sinc(n/N) for n = 1..n_max, N = samples_per_period;
+    read-only, as every caller with that size shares it."""
+    n = np.arange(1, n_max + 1)
+    hold = np.exp(1j * math.pi * n / samples_per_period) * np.sinc(n / samples_per_period)
+    hold.flags.writeable = False
+    return hold
+
+
 def waveform_dft_spectrum(
     w: SteppedWaveform,
     n_max: int,
@@ -118,13 +132,9 @@ def waveform_dft_spectrum(
     """
     _check_dft_size(samples_per_period, n_max)
     means = interval_mean_samples(w, samples_per_period)
-    bins = np.fft.rfft(means) / samples_per_period
-    n = np.arange(1, n_max + 1)
-    hold = np.exp(1j * math.pi * n / samples_per_period) * np.sinc(
-        n / samples_per_period
-    )
+    bins = np.fft.rfft(means)[: n_max + 1] / samples_per_period
     amps = np.zeros(n_max + 1)
-    amps[1:] = 2.0 * np.abs(bins[1 : n_max + 1] / hold)
+    amps[1:] = 2.0 * np.abs(bins[1:] / _hold_factor(samples_per_period, n_max))
     return HarmonicSpectrum(
         fundamental_frequency=w.fundamental_frequency, amplitudes=amps
     )

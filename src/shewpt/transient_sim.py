@@ -165,9 +165,12 @@ def simulate(
     """
     _check_steps_per_cycle(steps_per_cycle)
     if initial_state is not None:
-        initial_state = np.asarray(initial_state, dtype=float)
-        if initial_state.shape != (4,) or not np.isfinite(initial_state).all():
-            raise ValidationError("initial_state: must be four finite values")
+        initial_state = np.asarray(initial_state)
+        # not a string, a complex or a bool
+        real = initial_state.dtype.kind in "iuf"
+        if not (real and initial_state.shape == (4,) and np.isfinite(initial_state).all()):
+            raise ValidationError("initial_state: must be four real, finite values")
+        initial_state = initial_state.astype(float, copy=False)
     v_cycle, freq = _drive_samples(drive, steps_per_cycle)
     dt = 1.0 / (freq * steps_per_cycle)
 
@@ -278,6 +281,7 @@ def energy_balance_residual(
     energy moved during the cycle. ``r_ac`` must be the load the trace was
     integrated with, ``trace.r_ac``.
     """
+    _check_magnitude("r_ac", r_ac)
     if r_ac != trace.r_ac:
         raise ValidationError(f"r_ac: {r_ac!r} is not the trace's load {trace.r_ac!r}")
     seg, drive = trace.states, trace.drive

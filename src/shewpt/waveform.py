@@ -46,8 +46,9 @@ class AngleSet:
         if len(angles) == 0:
             raise ValidationError("angles: at least one firing angle required")
         for i, a in enumerate(angles):
-            # numpy floats are Real; a string is not
-            if not (isinstance(a, numbers.Real) and math.isfinite(a) and 0.0 < a < math.pi / 2):
+            # numpy floats are Real; a string is not, and a bool is no angle
+            real = isinstance(a, numbers.Real) and not isinstance(a, bool)
+            if not (real and math.isfinite(a) and 0.0 < a < math.pi / 2):
                 raise ValidationError(
                     f"angles[{i}]: {a!r} is not a real number in the open interval (0, pi/2)"
                 )
@@ -63,8 +64,12 @@ class AngleSet:
     @classmethod
     def from_degrees(cls, angles_deg) -> "AngleSet":
         values = _as_tuple("angles", angles_deg)
-        # what is not a real number goes on as it is, for the angles' rule
-        return cls(tuple(math.radians(a) if isinstance(a, numbers.Real) else a for a in values))
+        # what is not a real number, or is a bool, goes on as it is, for the
+        # angles' rule
+        return cls(tuple(
+            math.radians(a) if isinstance(a, numbers.Real) and not isinstance(a, bool) else a
+            for a in values
+        ))
 
     def to_degrees(self) -> tuple[float, ...]:
         return tuple(math.degrees(a) for a in self.angles)
@@ -87,13 +92,22 @@ def _interval_means(theta: np.ndarray, count: int) -> np.ndarray:
     """Mean signed layer count over each of ``count`` equal intervals of one
     period: the level at the interval's start plus, for each edge inside it,
     the jump times the part of the interval after the edge. An interval that
-    holds no edge is its level exactly; an edge at the period's end is in none."""
+    holds no edge is its level exactly; an edge at the period's end is in none.
+
+    Each run of intervals up to the next edge-holding one is filled with the
+    level before it (a sum of +-1 jumps, so exact); then each edge-holding
+    interval adds its edges' terms, summed in edge order from 0.0 as
+    np.bincount sums them. One interval past the period takes an edge at its
+    end, and is cut off."""
     pos, jump = _edge_table(theta)
     pos = pos * count  # in intervals
-    k = pos.astype(np.intp)  # the interval that holds each edge (pos >= 0)
-    start = np.cumsum(np.bincount(k + 1, jump, minlength=count)[:count])
-    inside = np.bincount(k, jump * (k + 1 - pos), minlength=count)[:count]
-    return start + inside
+    k = pos.astype(np.intp)  # the interval that holds each edge (pos >= 0), sorted
+    bounds = np.concatenate(([-1], k, [count]))
+    runs = bounds[1:] - bounds[:-1]
+    means = np.repeat(np.concatenate(([0.0], np.cumsum(jump))), runs)
+    first = runs[:-1] > 0  # the first edge in each edge-holding interval
+    means[k[first]] += np.bincount(np.cumsum(first) - 1, jump * (k + 1 - pos))
+    return means[:count]
 
 
 @dataclass(frozen=True)
@@ -121,9 +135,10 @@ class SteppedWaveform:
         given in periods, the edge table's positions and the level from each
         edge on, and the index of the last edge at or before each x, so the
         staircase is right-continuous, as the interval means read it.
-        ``value`` must be real and finite (``name`` is the argument)."""
+        ``value`` must be real (not a bool) and finite (``name`` is the
+        argument)."""
         value = np.asarray(value)
-        if value.dtype.kind not in "biuf" or not np.all(np.isfinite(value)):
+        if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
             raise ValidationError(f"{name}: must be real and finite")
         x = np.mod(value.astype(float), period) / period
         pos, jump = _edge_table(self.angle_set.as_array())
@@ -152,16 +167,22 @@ def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWavefor
 
 
 def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.ndarray:
-    """Signed b_n for an array of orders; even orders are exactly 0.0."""
+    """Signed b_n for an array of orders; even orders are exactly 0.0, and
+    only the odd orders take cosines."""
     _check_magnitude("step_voltage", step_voltage)
     n = np.asarray(orders)
-    amps = 4.0 * step_voltage / (n * math.pi) * np.cos(n[:, None] * theta).sum(axis=1)
-    return np.where(n % 2 == 0, 0.0, amps)
+    odd = n % 2 != 0
+    amps = np.zeros(n.shape)
+    n = n[odd]
+    amps[odd] = 4.0 * step_voltage / (n * math.pi) * np.cos(n[:, None] * theta).sum(axis=1)
+    return amps
 
 
 def harmonic_amplitude(angle_set: AngleSet, step_voltage: float, n: int) -> float:
     """Peak amplitude of the n-th sine harmonic; exactly 0 for even n."""
-    if not (isinstance(n, numbers.Real) and 1 <= n < math.inf and int(n) == n):  # nan fails
+    # nan fails, and a bool is no order
+    real = isinstance(n, numbers.Real) and not isinstance(n, bool)
+    if not (real and 1 <= n < math.inf and int(n) == n):
         raise ValidationError(f"n: {n!r} must be a positive integer")
     return float(_harmonic_amplitudes(angle_set.as_array(), step_voltage, [n])[0])
 

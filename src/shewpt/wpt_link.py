@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError, _check_magnitude
+from .errors import SingularMatrixError, ValidationError, _check_magnitude, _check_path
 from .reporting import _read_json
 
 __all__ = [
@@ -62,6 +62,7 @@ class WptLinkParams:
 
     @classmethod
     def from_json(cls, path) -> "WptLinkParams":
+        _check_path(path)
         try:
             cfg = _read_json(path)
         except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON

@@ -243,7 +243,7 @@ def test_only_reporting_reads_or_writes_data_formats():
 # method or lambda but self and cls, private helpers and nested functions
 # included; each field of a dataclass; each add_argument call; and each read
 # of an environment variable. A new option changes this count.
-SETTABLE_VALUES = 245
+SETTABLE_VALUES = 248
 
 
 def _is_dataclass(decorator):

@@ -3,6 +3,7 @@ the argument, with warnings raised as errors, instead of a silent answer or a
 TypeError or ValueError from deep inside numpy."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from shewpt import (
     WptLinkParams,
     analytic_spectrum,
     dft_spectrum,
+    energy_balance_residual,
     fundamental_rms,
     grid_oracle,
     harmonic_amplitude,
+    simulate,
     solve_multistart,
     solve_newton,
     synth,
@@ -28,6 +31,8 @@ from shewpt import (
     total_rms,
     waveform_dft_spectrum,
 )
+from shewpt.reporting import spectrum_svg, waveform_svg, write_json, write_meta_sidecar
+from shewpt.spectrum import spectrum_to_csv
 from shewpt.waveform import interval_mean_samples, waveform_to_csv
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -36,6 +41,9 @@ ANGLES = AngleSet.from_degrees([11.0, 41.0, 85.0])
 WAVE = synth(ANGLES, 500.0, 85e3)
 TARGETS = HarmonicTargetSet((3, 5, 7))
 SPEC = analytic_spectrum(ANGLES, 500.0, 85e3, 21)
+LINK = WptLinkParams(
+    L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)
+DRIVE = SquareDrive(100.0, 85e3)
 
 # (id, the argument the message names, the call)
 BAD_CALLS = [
@@ -141,6 +149,29 @@ BAD_CALLS = [
      lambda p: thd_report(WAVE, eliminated_orders=3)),
     ("thd_report-eliminated-none", "eliminated_orders",
      lambda p: thd_report(WAVE, eliminated_orders=None)),
+    # orders sharing an odd factor: multistart returned samples of a root
+    # continuum as branches (52 for (3, 9) at 5 degrees, 115 for (3, 9, 15))
+    ("orders-factor-3", "orders", lambda p: HarmonicTargetSet((3, 9))),
+    ("orders-factor-5", "orders", lambda p: HarmonicTargetSet((5, 15))),
+    ("orders-factor-3-of-3", "orders", lambda p: HarmonicTargetSet((3, 9, 15))),
+    ("orders-factor-3-of-4", "orders", lambda p: HarmonicTargetSet((3, 15, 21, 27))),
+    # a bool is neither an angle, an order nor a time: 1 rad, 1 degree, b_1,
+    # and a sample or integral at 1 s or 1 rad
+    ("angles-true", "angles", lambda p: AngleSet((True,))),
+    ("from_degrees-true", "angles", lambda p: AngleSet.from_degrees([True, 40.0])),
+    ("harmonic-n-true", "n", lambda p: harmonic_amplitude(ANGLES, 500.0, True)),
+    ("sample_at-true", "t", lambda p: WAVE.sample_at(True)),
+    ("angle_integral-true", "phase", lambda p: WAVE.angle_integral(True)),
+    # TypeError or a ComplexWarning from the float conversion, numpy's
+    # ValueError from the truth of an array or from parsing a string
+    ("simulate-initial-complex", "initial_state",
+     lambda p: simulate(LINK, DRIVE, 512, initial_state=1j)),
+    ("simulate-initial-complex-array", "initial_state",
+     lambda p: simulate(LINK, DRIVE, 512, initial_state=np.full(4, 1j))),
+    ("energy-r_ac-array", "r_ac",
+     lambda p: energy_balance_residual(simulate(LINK, DRIVE, 512), LINK, np.eye(2))),
+    ("dft-str", "samples", lambda p: dft_spectrum("abc", 50.0, 9)),
+    ("dft-complex", "samples", lambda p: dft_spectrum(np.zeros(64, dtype=complex), 50.0, 9)),
 ]
 
 
@@ -152,6 +183,38 @@ def test_bad_arguments_raise_a_validation_error_naming_them(tmp_path, argument, 
     with pytest.raises(ValidationError, match=rf"^{argument}\b"):
         call(path)
     assert not path.exists()
+
+
+# each wrote into the descriptor's file (or read it) and then closed it
+FD_CALLS = [
+    ("waveform-csv", lambda fd: waveform_to_csv(WAVE, fd, 4)),
+    ("spectrum-csv", lambda fd: spectrum_to_csv(SPEC, fd)),
+    ("trace-csv", lambda fd: simulate(LINK, DRIVE, 512).to_csv(fd)),
+    ("json", lambda fd: write_json({"a": 1}, fd)),
+    # wrote "<fd>.meta.json" into the working directory
+    ("sidecar", lambda fd: write_meta_sidecar(fd)),
+    ("waveform-svg", lambda fd: waveform_svg([0.0, 1.0], [0.0, 1.0], fd)),
+    ("spectrum-svg", lambda fd: spectrum_svg([1, 3], [1.0, 0.1], fd)),
+    ("link-json", lambda fd: WptLinkParams.from_json(fd)),
+    ("numpy-integer", lambda fd: waveform_to_csv(WAVE, np.int64(fd), 4)),
+]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in FD_CALLS], ids=[row[0] for row in FD_CALLS])
+def test_an_integer_path_is_refused_before_anything_is_opened(tmp_path, monkeypatch, call):
+    monkeypatch.chdir(tmp_path)
+    owned = tmp_path / "owned"
+    fd = os.open(owned, os.O_RDWR | os.O_CREAT)
+    inode = os.fstat(fd).st_ino
+    try:
+        with pytest.raises(ValidationError, match=r"^path\b"):
+            call(fd)
+        assert owned.stat().st_size == 0
+        assert sorted(os.listdir(tmp_path)) == ["owned"]
+    finally:
+        # the descriptor is still the test's own, open on the same file
+        assert os.fstat(fd).st_ino == inode
+        os.close(fd)
 
 
 @pytest.mark.parametrize(
@@ -176,9 +239,16 @@ def test_bad_arguments_raise_a_validation_error_naming_them(tmp_path, argument, 
         lambda p: AngleSet.from_degrees(np.array([11, 41, 85])),
         lambda p: grid_oracle(TARGETS, np.int64(15)),
         lambda p: thd_report(WAVE, np.array([3, 5]), np.int64(99), np.int64(1024)),
+        lambda p: dft_spectrum(np.arange(64), 50.0, 9),
+        lambda p: simulate(LINK, DRIVE, 512, initial_state=[0, 0, 0, np.float32(1.0)]),
+        lambda p: energy_balance_residual(
+            simulate(LINK, DRIVE, 512), LINK, np.float64(LINK.r_ac)),
+        lambda p: HarmonicTargetSet((3,)),
+        lambda p: HarmonicTargetSet((9, 15, 25)),
     ],
     ids=["csv", "means", "wdft", "analytic", "newton", "angles", "orders", "amplitude",
-         "harmonic", "square", "times", "phase", "link-k", "degrees", "oracle", "thd_report"],
+         "harmonic", "square", "times", "phase", "link-k", "degrees", "oracle", "thd_report",
+         "dft-integers", "initial-state", "r_ac", "one-order", "no-common-factor"],
 )
 def test_numpy_integers_and_reals_are_accepted(tmp_path, call):
     call(tmp_path / "out.csv")

@@ -434,6 +434,32 @@ class TestNewton:
         she_solver._newton_batch(np.array(_lattice_seeds(3)), orders, 1e-12, 60)
         assert len(rows) > 2 and min(rows) > 0
 
+    def test_builds_no_jacobian_of_zero_rows(self, targets_3, monkeypatch):
+        # the kernel stops once the last seed has converged; a seed that
+        # converges at step 4 and one still running at max_iter = 5 give the
+        # scalar reference's outcomes, alone or batched, bit for bit
+        rows = []
+        jacobian = she_solver._jacobian_raw
+
+        def counted(theta, orders):
+            rows.append(len(theta))
+            return jacobian(theta, orders)
+
+        monkeypatch.setattr(she_solver, "_jacobian_raw", counted)
+        orders = targets_3.as_array()
+        converging, running = np.radians([10.0, 40.0, 80.0]), np.radians([20.0, 50.0, 70.0])
+        alone = [she_solver._newton_batch(seed[None], orders, 1e-12, 5)
+                 for seed in (converging, running)]
+        assert [(a[2][0], a[3][0]) for a in alone] == [
+            (she_solver.CONVERGED, 4), (she_solver.STALLED, 5)]
+        assert rows == [1] * (4 + 5)  # four steps, then five: none of zero rows
+        batched = she_solver._newton_batch(np.array([converging, running]), orders, 1e-12, 5)
+        for i, (seed, one) in enumerate(zip((converging, running), alone)):
+            row = tuple(part[i] for part in batched)
+            assert [np.asarray(x).tobytes() for x in row] == [x[0].tobytes() for x in one]
+            want = _outcome(_reference_newton, seed, orders, 1e-12, 5)
+            assert _row_outcome(*row, max_iter=5) == want
+
     @pytest.mark.parametrize("orders", [(3, 5, 7, 9), (5, 7, 11, 13)])
     def test_four_level_lattice_sample_matches_the_scalar_reference(self, orders):
         # every 10th of the 2,380 seeds of the 5 deg lattice, iterated as one

@@ -12,6 +12,7 @@ from shewpt import (
     analytic_spectrum,
     dft_spectrum,
     harmonic_amplitude,
+    synth,
     thd,
     thd_report,
     thd_total_closed_form,
@@ -38,6 +39,18 @@ def _row_loop_csv(spectrum, path):
                     repr(amp / a1 if a1 else math.nan),
                 ]
             )
+
+
+def _full_transform_amplitudes(means, n_max):
+    # all count // 2 + 1 bins divided by the count, and the hold factor
+    # exp(i pi n / N) sinc(n / N) built for the call
+    count = len(means)
+    bins = np.fft.rfft(means) / count
+    n = np.arange(1, n_max + 1)
+    hold = np.exp(1j * math.pi * n / count) * np.sinc(n / count)
+    amps = np.zeros(n_max + 1)
+    amps[1:] = 2.0 * np.abs(bins[1 : n_max + 1] / hold)
+    return amps
 
 
 def sine_samples(amplitude=1.0, count=8192):
@@ -100,6 +113,20 @@ class TestWaveformSpectrum:
             for n_max in (1, 2, 21, 99, 500, 999, count // 2 - 2):
                 part = waveform_dft_spectrum(w, n_max, samples_per_period=count)
                 assert np.array_equal(part.amplitudes, full.amplitudes[: n_max + 1])
+
+    @pytest.mark.parametrize("layers", [1, 3, 4, 15])
+    def test_equals_the_full_transform(self, layers):
+        # every order's bits as a transform divided whole by the sample count
+        # and by a hold factor built on each call gave them
+        rng = np.random.default_rng(7000 + layers)
+        for count in [2**p for p in range(2, 17)]:
+            angles = np.sort(rng.uniform(0.01, 1.56, layers))
+            w = synth(AngleSet(tuple(angles)), float(rng.uniform(1.0, 1000.0)), 85e3)
+            means = interval_mean_samples(w, count)
+            for n_max in sorted({1, min(21, count // 2 - 1), min(999, count // 2 - 1),
+                                 count // 2 - 1}):
+                got = waveform_dft_spectrum(w, n_max, samples_per_period=count).amplitudes
+                assert got.tobytes() == _full_transform_amplitudes(means, n_max).tobytes()
 
     def test_cosine_components_vanish(self, waveform_3):
         # corrected bins of the sampled staircase must be purely imaginary

@@ -16,6 +16,7 @@ from shewpt import (
     synth,
     total_rms,
 )
+from shewpt import waveform
 from shewpt.waveform import interval_mean_samples, waveform_to_csv
 
 DEG = math.pi / 180.0
@@ -245,6 +246,63 @@ class TestIntegralOracles:
         bound = count * w.step_voltage * 2.0**-51
         err = max(abs(Fraction(float(got[j])) - m) for j, m in want.items())
         assert err <= bound, float(err / bound)
+
+
+def _bincount_interval_means(theta, count):
+    # the interval means as two count-long bincounts and a cumsum wrote
+    # them: each interval's level at its start, plus each of its edges' jump
+    # times the part of the interval after the edge
+    u = theta / (2 * math.pi)
+    pos = np.concatenate(([0.0], u, 0.5 - u[::-1], 0.5 + u, 1.0 - u[::-1])) * count
+    jump = np.concatenate(([0.0], np.repeat([1.0, -1.0, -1.0, 1.0], u.size)))
+    k = pos.astype(np.intp)
+    start = np.cumsum(np.bincount(k + 1, jump, minlength=count)[:count])
+    inside = np.bincount(k, jump * (k + 1 - pos), minlength=count)[:count]
+    return start + inside
+
+
+def _all_orders_amplitudes(theta, step_voltage, orders):
+    # b_n with a cosine sum for every order, the even ones then set to 0.0
+    n = np.asarray(orders)
+    amps = 4.0 * step_voltage / (n * math.pi) * np.cos(n[:, None] * theta).sum(axis=1)
+    return np.where(n % 2 == 0, 0.0, amps)
+
+
+BIT_COUNTS = [2, 3, 5, 100] + [2**p for p in range(1, 17)]
+
+
+class TestStaircaseBits:
+    @pytest.mark.parametrize("layers", range(1, 16))
+    def test_interval_means_equal_the_bincount_means(self, layers):
+        rng = np.random.default_rng(5000 + layers)
+        for count in BIT_COUNTS:
+            theta = _random_waveform(rng, layers).angle_set.as_array()
+            got = waveform._interval_means(theta, count)
+            assert got.tobytes() == _bincount_interval_means(theta, count).tobytes(), count
+
+    @pytest.mark.parametrize(
+        "theta",
+        [
+            [0.0],  # the square drive: its last edge is at the period's end
+            [22.5 * DEG],  # on an interval boundary from 16 intervals on
+            [22.5 * DEG, 45.0 * DEG, 67.5 * DEG],
+            [1e-300, 1.0],  # 1 - u rounds to 1: an edge at the period's end
+        ],
+        ids=["square", "22.5", "boundaries", "tiny"],
+    )
+    def test_interval_means_with_edges_on_boundaries(self, theta):
+        theta = np.array(theta)
+        for count in BIT_COUNTS:
+            got = waveform._interval_means(theta, count)
+            assert got.tobytes() == _bincount_interval_means(theta, count).tobytes(), count
+
+    @pytest.mark.parametrize("layers", range(1, 16))
+    def test_amplitudes_equal_the_all_orders_formula(self, layers):
+        w = _random_waveform(np.random.default_rng(6000 + layers), layers)
+        theta, volts = w.angle_set.as_array(), w.step_voltage
+        for orders in (np.arange(1, 1000), [1], [2], [7], [np.float64(9.0), 4, 11]):
+            got = waveform._harmonic_amplitudes(theta, volts, orders)
+            assert got.tobytes() == _all_orders_amplitudes(theta, volts, orders).tobytes()
 
 
 def _rational_edges(w):
