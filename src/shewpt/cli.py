@@ -113,9 +113,7 @@ def cmd_solve(args) -> int:
     out_dir = _out_dir(args)
     targets = she_solver.HarmonicTargetSet(_parse_list(args.harmonics, "harmonics", int))
     if args.multistart:
-        solutions = she_solver.solve_multistart(
-            targets, grid_step_deg=args.grid_deg, tol=args.tol, max_iter=args.max_iter
-        )
+        solutions = she_solver.solve_multistart(targets, tol=args.tol, max_iter=args.max_iter)
         if not solutions:
             print("no solutions found by multistart", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--harmonics", required=True, help="orders to eliminate, e.g. 3,5,7")
     p.add_argument("--init", default=None, help="initial angles in degrees, e.g. 11,41,85")
     p.add_argument("--multistart", action="store_true")
-    p.add_argument("--grid-deg", type=float, default=5.0)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=60)
     p.set_defaults(func=cmd_solve)

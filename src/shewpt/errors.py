@@ -1,5 +1,5 @@
-"""Exception types, and the rules for counts and magnitudes, shared across
-the package."""
+"""Exception types, and the rules for counts, magnitudes, paths, records and
+sequences, shared across the package."""
 
 import math
 import numbers
@@ -61,6 +61,13 @@ def _check_path(path) -> None:
     bool, a numpy integer) as a file descriptor, and closes it after."""
     if isinstance(path, (int, np.integer)):
         raise ValidationError(f"path: {path!r} is an integer, not a file path")
+
+
+def _check_record(name: str, value, kind: type) -> None:
+    """A record argument (an ``AngleSet``, a ``HarmonicTargetSet``) is an
+    instance of its class, not a tuple or a list of its fields."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name}: {value!r} is not a {kind.__name__}")
 
 
 def _as_tuple(name: str, values) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     _as_tuple,
     _check_count,
     _check_magnitude,
+    _check_record,
 )
 from .waveform import AngleSet
 
@@ -43,8 +44,6 @@ DEDUP_TOL_DEG = 0.01
 LATTICE_POINT_LIMIT = 1_000_000_000
 # a looser tolerance could accept a start guess far from any root as one
 TOL_MAX = 1e-6
-# about 15 minutes of multistart at 0.09 ms per seed (4-level targets, 2.5 deg)
-MULTISTART_SEED_LIMIT = 10_000_000
 # scores per grid_oracle matrix product (512 KiB), or one prefix's row where
 # that is longer: the 1 degree 4-level lattices never split a prefix group,
 # finer ones do; only the few blocks near the least score are scored twice
@@ -100,22 +99,26 @@ class SheSolution:
     iterations: int
 
 
-def _check_square(angles: AngleSet, targets: HarmonicTargetSet):
+def _check_square(name: str, angles: AngleSet, targets: HarmonicTargetSet):
+    """``angles`` (the argument ``name``) and ``targets`` are the records, of
+    one size."""
+    _check_record(name, angles, AngleSet)
+    _check_record("targets", targets, HarmonicTargetSet)
     if angles.levels != targets.size:
         raise DimensionMismatchError(
-            f"angles: {angles.levels} angles for {targets.size} harmonic targets"
+            f"{name}: {angles.levels} angles for {targets.size} harmonic targets"
         )
 
 
 def residual(angles: AngleSet, targets: HarmonicTargetSet) -> np.ndarray:
     """Component k is sum_i cos(n_k * theta_i)."""
-    _check_square(angles, targets)
+    _check_square("angles", angles, targets)
     return _residual_raw(angles.as_array(), targets.as_array())
 
 
 def jacobian(angles: AngleSet, targets: HarmonicTargetSet) -> np.ndarray:
     """Analytic derivative: dF_k/dtheta_i = -n_k * sin(n_k * theta_i)."""
-    _check_square(angles, targets)
+    _check_square("angles", angles, targets)
     return _jacobian_raw(angles.as_array(), targets.as_array())
 
 
@@ -267,7 +270,7 @@ def solve_newton(
     past the halvings that provably leave it too (see _newton_batch), with
     the same iterates as halving one scale at a time.
     """
-    _check_square(initial, targets)
+    _check_square("initial", initial, targets)
     theta, norm, status, iters = _newton_batch(
         initial.as_array()[None, :], targets.as_array(), tol, max_iter
     )
@@ -298,91 +301,56 @@ def _finish(theta: np.ndarray, norm: float, iterations: int):
     )
 
 
-def _lattice_values(step_deg: float, k: int, limit: int, name: str) -> np.ndarray:
-    """Interior lattice of (0, 90) degrees, checked before it is built to
-    have at least one and at most ``limit`` ascending k-tuples (``name`` is
-    the argument)."""
-    _check_magnitude(name, step_deg)
-    count = 90.0 / step_deg
-    # checked before ceil, which overflows on the inf of a subnormal step;
-    # more than ``limit`` values give more than ``limit`` tuples
-    if not count <= limit:
-        raise ValidationError(f"{name}: lattice of {count:g} values exceeds the cost guard")
-    m = int(math.ceil(count)) - 1
-    if m < k:
-        raise ValidationError(
-            f"{name}: lattice of {m} values has no ascending {k}-tuples"
-        )
-    if math.comb(m, k) > limit:
-        raise ValidationError(
-            f"{name}: lattice of {math.comb(m, k)} points exceeds the cost guard"
-        )
-    return np.arange(1, m + 1) * step_deg
-
-
-# Seeds per _newton_batch call in solve_multistart. A chunk's working set is
-# a few (S, K, K) float64 stacks (the residual and Jacobian terms: 512 KiB
-# each at S = 4096, K = 4; only the few seeds near the condition limit are
-# decomposed) plus (S, K) iterates and steps. Its peak, about 3 MiB at K = 4
-# (tracemalloc, 4-level targets on the 2.5 degree lattice), does not grow
-# with the lattice.
-MULTISTART_CHUNK = 4096
+# The multistart lattice: the 17 interior values 5, 10, ..., 85 degrees. Its
+# ascending K-tuples are at most C(17, 8) = 24,310 seeds, iterated as one
+# _newton_batch call; the batch's traced peak is 29 MiB at K = 8.
+MULTISTART_VALUES = 17
+MULTISTART_STEP_DEG = 5.0
 
 
 def solve_multistart(
     targets: HarmonicTargetSet,
-    grid_step_deg: float = 5.0,
     tol: float = 1e-12,
     max_iter: int = 60,
 ) -> list[SheSolution]:
-    """Newton from every ascending lattice seed; distinct converged roots.
+    """Newton from every ascending K-tuple of the 5 degree lattice; distinct
+    converged roots.
 
-    The seeds are iterated together, MULTISTART_CHUNK at a time, and their
-    roots taken in lattice order. Roots are deduplicated at 0.01 degrees
-    per angle (the first seed reaching a root keeps it) and sorted by the
-    first angle. Seeds that diverge, stall or meet a singular Jacobian are
-    skipped, and so are roots with a repeated angle or an angle within
-    0.01 degrees of 0 or pi/2: that layer never switches. One debug record
-    on the ``shewpt.she_solver`` logger counts the outcomes. Lattices of
-    more than MULTISTART_SEED_LIMIT seeds are rejected.
+    The seeds are iterated together, and their roots taken in lattice order.
+    Roots are deduplicated at 0.01 degrees per angle (the first seed
+    reaching a root keeps it) and sorted by the first angle. Seeds that
+    diverge, stall or meet a singular Jacobian are skipped, and so are roots
+    with a repeated angle or an angle within 0.01 degrees of 0 or pi/2: that
+    layer never switches. One debug record on the ``shewpt.she_solver``
+    logger counts the outcomes. More than 17 orders have no ascending seed.
     """
-    _check_magnitude("grid_step_deg", grid_step_deg)
-    if grid_step_deg > 15.0:
-        raise ValidationError(f"grid_step_deg: {grid_step_deg!r} not in (0, 15]")
-    values = np.radians(
-        _lattice_values(
-            grid_step_deg, targets.size, MULTISTART_SEED_LIMIT, "grid_step_deg"
+    _check_record("targets", targets, HarmonicTargetSet)
+    if targets.size > MULTISTART_VALUES:
+        raise ValidationError(
+            f"orders: {targets.size} orders exceed the {MULTISTART_VALUES} "
+            f"values of the multistart lattice"
         )
-    )
-    orders = targets.as_array()
+    values = np.radians(np.arange(1, MULTISTART_VALUES + 1) * MULTISTART_STEP_DEG)
+    seeds = values[np.array(list(combinations(range(MULTISTART_VALUES), targets.size)))]
+    theta, norm, status, iters = _newton_batch(seeds, targets.as_array(), tol, max_iter)
+    counts = np.bincount(status, minlength=4)
     dedup = math.radians(DEDUP_TOL_DEG)
-    counts = np.zeros(4, dtype=int)
-    invalid = on_bounds = 0
+    rows = np.flatnonzero(status == CONVERGED)
+    roots = np.sort(theta[rows], axis=1)
+    # AngleSet's rules but one hold already: a converged row is a seed or an
+    # accepted iterate, inside (0, pi/2); its angles may repeat
+    valid = (np.diff(roots, axis=1) > 0).all(axis=1)
+    bounded = (roots[:, 0] < dedup) | (roots[:, -1] > math.pi / 2 - dedup)
+    keep = valid & ~bounded
+    rows, roots = rows[keep], roots[keep]
     found: list[SheSolution] = []
-    lattice = combinations(range(len(values)), targets.size)
-    while chunk := list(islice(lattice, MULTISTART_CHUNK)):
-        seeds = values[np.array(chunk, dtype=np.intp)]
-        theta, norm, status, iters = _newton_batch(seeds, orders, tol, max_iter)
-        counts += np.bincount(status, minlength=4)
-        rows = np.flatnonzero(status == CONVERGED)
-        roots = np.sort(theta[rows], axis=1)
-        # AngleSet's rules but one hold already: a converged row is a seed or
-        # an accepted iterate, inside (0, pi/2); its angles may repeat
-        valid = (np.diff(roots, axis=1) > 0).all(axis=1)
-        bounded = (roots[:, 0] < dedup) | (roots[:, -1] > math.pi / 2 - dedup)
-        invalid += int(np.count_nonzero(~valid))
-        on_bounds += int(np.count_nonzero(valid & bounded))
-        keep = valid & ~bounded
-        for sol in found:
-            keep &= np.abs(roots - sol.angle_set.as_array()).max(axis=1) >= dedup
-        rows, roots = rows[keep], roots[keep]
-        # the first remaining root in lattice order is new; it hides every
-        # root within the tolerance of it
-        while len(rows):
-            i = rows[0]
-            found.append(_finish(theta[i], float(norm[i]), int(iters[i])))
-            apart = np.abs(roots - roots[0]).max(axis=1) >= dedup
-            rows, roots = rows[apart], roots[apart]
+    # the first remaining root in lattice order is new; it hides every root
+    # within the tolerance of it
+    while len(rows):
+        i = rows[0]
+        found.append(_finish(theta[i], float(norm[i]), int(iters[i])))
+        apart = np.abs(roots - roots[0]).max(axis=1) >= dedup
+        rows, roots = rows[apart], roots[apart]
     # imported here: at module level logging adds 5-10 ms to every import of
     # shewpt, and most commands never run a multistart
     import logging
@@ -390,8 +358,8 @@ def solve_multistart(
     logging.getLogger(__name__).debug(
         "multistart %s at %g deg: %d seeds, %d converged, %d diverged, "
         "%d stalled, %d singular, %d invalid, %d on the bounds, %d branches",
-        targets.orders, grid_step_deg, counts.sum(), *counts, invalid,
-        on_bounds, len(found),
+        targets.orders, MULTISTART_STEP_DEG, counts.sum(), *counts,
+        np.count_nonzero(~valid), np.count_nonzero(valid & bounded), len(found),
     )
     found.sort(key=lambda s: s.angle_set.angles[0])
     return found
@@ -429,13 +397,20 @@ def grid_oracle(targets: HarmonicTargetSet, step_deg: float) -> AngleSet:
     product score, and an exact minimizer's product score within e of it:
     it is rescored, with every tuple tied with it.
     """
+    _check_record("targets", targets, HarmonicTargetSet)
     _check_magnitude("step_deg", step_deg)
     if step_deg < 0.05:
         raise ValidationError(f"step_deg: {step_deg!r} below the 0.05 cost guard")
     k = targets.size
-    values_deg = _lattice_values(step_deg, k, LATTICE_POINT_LIMIT, "step_deg")
-    m = len(values_deg)
-    theta = np.radians(values_deg)
+    # at most 1,800 values at the 0.05 degree guard
+    m = int(math.ceil(90.0 / step_deg)) - 1
+    if m < k:
+        raise ValidationError(f"step_deg: lattice of {m} values has no ascending {k}-tuples")
+    if math.comb(m, k) > LATTICE_POINT_LIMIT:
+        raise ValidationError(
+            f"step_deg: lattice of {math.comb(m, k)} points exceeds the cost guard"
+        )
+    theta = np.radians(np.arange(1, m + 1) * step_deg)
     orders = targets.as_array()
     cos_tab = np.cos(orders[:, None] * theta[None, :])  # (K, m)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _as_tuple, _check_count, _check_magnitude
+from .errors import ValidationError, _as_tuple, _check_count, _check_magnitude, _check_record
 from .reporting import _write_csv
 
 __all__ = [
@@ -119,6 +119,7 @@ class SteppedWaveform:
     fundamental_frequency: float
 
     def __post_init__(self):
+        _check_record("angle_set", self.angle_set, AngleSet)
         _check_magnitude("step_voltage", self.step_voltage)
         _check_magnitude("fundamental_frequency", self.fundamental_frequency)
 

@@ -150,22 +150,34 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
             z22 += e * (b + math.sqrt(b * b - abs(z11 * z22 + wm**2) ** 2 * c)) / -c
         else:
             wm = 0.0  # the bridge blocks: I2 = 0 leaves the primary uncoupled
+    # a huge but finite value (V_dc = 1e200) overflows on the way: each
+    # quantity that is not finite is named, without numpy's warnings
+    _check_finite("Z22", z22)
     mesh = np.array([[z11, 1j * wm], [1j * wm, z22]], dtype=complex)
     if np.linalg.cond(mesh) > 1e12:
         raise SingularMatrixError("mesh matrix numerically singular")
-    i1, i2 = np.linalg.solve(mesh, np.array([v1, 0.0], dtype=complex))
-    z_in = v1 / i1
-    # solved in numpy; only the results become Python numbers, because the
-    # same arithmetic in Python complex rounds Z_in differently
-    return FhaSolution(
-        I1=complex(i1),
-        I2=complex(i2),
-        V1=v1,
-        Z_in=complex(z_in),
-        P_out=float(abs(i2) ** 2 * params.r_ac),
-        P_in=float((v1 * i1.conjugate()).real),
-        zvs_favorable=cmath.phase(z_in) > 0,
-    )
+    with np.errstate(all="ignore"):
+        i1, i2 = np.linalg.solve(mesh, np.array([v1, 0.0], dtype=complex))
+        z_in = v1 / i1
+        # solved in numpy; only the results become Python numbers, because the
+        # same arithmetic in Python complex rounds Z_in differently
+        solution = FhaSolution(
+            I1=complex(i1),
+            I2=complex(i2),
+            V1=v1,
+            Z_in=complex(z_in),
+            P_out=float(abs(i2) ** 2 * params.r_ac),
+            P_in=float((v1 * i1.conjugate()).real),
+            zvs_favorable=cmath.phase(z_in) > 0,
+        )
+    for name in ("V1", "I1", "I2", "Z_in", "P_out", "P_in"):
+        _check_finite(name, getattr(solution, name))
+    return solution
+
+
+def _check_finite(name: str, value) -> None:
+    if not cmath.isfinite(value):
+        raise ValidationError(f"params: {name} = {value!r} is not finite; a value is too large")
 
 
 def power_scaling_check(params: WptLinkParams, V_dc_a: float, V_dc_b: float) -> float:

@@ -83,7 +83,7 @@ SIGNATURES = {
         "residual": "(angles, targets)",
         "jacobian": "(angles, targets)",
         "solve_newton": "(initial, targets, tol=1e-12, max_iter=60)",
-        "solve_multistart": "(targets, grid_step_deg=5.0, tol=1e-12, max_iter=60)",
+        "solve_multistart": "(targets, tol=1e-12, max_iter=60)",
         "grid_oracle": "(targets, step_deg)",
     },
     "shewpt.waveform": {

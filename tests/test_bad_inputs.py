@@ -4,6 +4,7 @@ TypeError or ValueError from deep inside numpy."""
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,13 @@ from shewpt import (
     analytic_spectrum,
     dft_spectrum,
     energy_balance_residual,
+    fha_solve,
     fundamental_rms,
     grid_oracle,
     harmonic_amplitude,
+    jacobian,
+    power_scaling_check,
+    residual,
     simulate,
     solve_multistart,
     solve_newton,
@@ -57,7 +62,7 @@ BAD_CALLS = [
     ("wdft-samples-8192.0", "samples", lambda p: waveform_dft_spectrum(WAVE, 21, 8192.0)),
     ("newton-max_iter-2.5", "max_iter", lambda p: solve_newton(ANGLES, TARGETS, max_iter=2.5)),
     ("multistart-max_iter-2.5", "max_iter",
-     lambda p: solve_multistart(TARGETS, grid_step_deg=15.0, max_iter=2.5)),
+     lambda p: solve_multistart(TARGETS, max_iter=2.5)),
     # accepted, read as 0.1 rad
     ("angles-str", "angles", lambda p: AngleSet(("0.1",))),
     ("angles-str-second", "angles", lambda p: AngleSet((0.1, "0.2"))),
@@ -91,10 +96,6 @@ BAD_CALLS = [
     ("square-amplitude-str", "amplitude", lambda p: SquareDrive("1", 85e3)),
     ("square-frequency-str", "frequency", lambda p: SquareDrive(1.0, "85e3")),
     ("synth-step-str", "step_voltage", lambda p: synth(ANGLES, "1", 85e3)),
-    ("multistart-grid-str", "grid_step_deg", lambda p: solve_multistart(TARGETS, grid_step_deg="5")),
-    # OverflowError from ceil(90 / 1e-320), which is inf
-    ("multistart-grid-1e-320", "grid_step_deg",
-     lambda p: solve_multistart(TARGETS, grid_step_deg=1e-320)),
     ("link-L1-str", "L1", lambda p: WptLinkParams(
         L1="245e-6", L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
     # TypeError from the range test of k, from the 0.05 guard, from math.radians
@@ -116,8 +117,6 @@ BAD_CALLS = [
     # iteration, an accepted field, or a TypeError from a boolean index
     ("thd-n_max-true", "n_max", lambda p: thd(SPEC, True)),
     ("oracle-step-true", "step_deg", lambda p: grid_oracle(TARGETS, True)),
-    ("multistart-grid-true", "grid_step_deg",
-     lambda p: solve_multistart(TARGETS, grid_step_deg=True)),
     ("newton-max_iter-true", "max_iter", lambda p: solve_newton(ANGLES, TARGETS, max_iter=True)),
     ("wave-step-true", "step_voltage", lambda p: SteppedWaveform(ANGLES, True, 50.0)),
     ("square-amplitude-false", "amplitude", lambda p: SquareDrive(amplitude=False, frequency=85e3)),
@@ -128,7 +127,7 @@ BAD_CALLS = [
     # TypeError from the comparison 0 < tol
     ("newton-tol-str", "tol", lambda p: solve_newton(ANGLES, TARGETS, tol="1e-12")),
     ("multistart-tol-none", "tol",
-     lambda p: solve_multistart(TARGETS, grid_step_deg=15.0, tol=None)),
+     lambda p: solve_multistart(TARGETS, tol=None)),
     # TypeError: a bare value was iterated
     ("angles-number", "angles", lambda p: AngleSet(0.5)),
     ("orders-number", "orders", lambda p: HarmonicTargetSet(3)),
@@ -172,6 +171,27 @@ BAD_CALLS = [
      lambda p: energy_balance_residual(simulate(LINK, DRIVE, 512), LINK, np.eye(2))),
     ("dft-str", "samples", lambda p: dft_spectrum("abc", 50.0, 9)),
     ("dft-complex", "samples", lambda p: dft_spectrum(np.zeros(64, dtype=complex), 50.0, 9)),
+    # a list as the angle set was accepted; a list or a tuple of orders as the
+    # targets, or a list of angles, raised AttributeError
+    ("wave-angle_set-list", "angle_set", lambda p: SteppedWaveform([0.2, 0.7], 500.0, 85e3)),
+    ("synth-angle_set-list", "angle_set", lambda p: synth([0.2, 0.7], 500.0, 85e3)),
+    ("multistart-targets-tuple", "targets", lambda p: solve_multistart((3, 5, 7))),
+    ("oracle-targets-tuple", "targets", lambda p: grid_oracle((3, 5, 7), 5.0)),
+    ("newton-initial-list", "initial", lambda p: solve_newton([0.2, 0.7, 1.2], TARGETS)),
+    ("newton-targets-tuple", "targets", lambda p: solve_newton(ANGLES, (3, 5, 7))),
+    ("residual-angles-list", "angles", lambda p: residual([0.2, 0.7, 1.2], TARGETS)),
+    ("jacobian-targets-list", "targets", lambda p: jacobian(ANGLES, [3, 5, 7])),
+    # named grid_step_deg, which the caller never passed: the 5 degree
+    # lattice has 17 values, so 18 orders have no ascending seed
+    ("multistart-orders-18", "orders",
+     lambda p: solve_multistart(HarmonicTargetSet(tuple(range(3, 39, 2))))),
+    # a RuntimeWarning, then nan in every field, an infinite P_out, or a nan
+    # ratio; with a diode drop, numpy's LinAlgError
+    ("fha-V_dc-1e308", "params", lambda p: fha_solve(replace(LINK, V_dc=1e308))),
+    ("fha-V_dc-1e200", "params", lambda p: fha_solve(replace(LINK, V_dc=1e200))),
+    ("fha-diode-V_dc-1e200", "params",
+     lambda p: fha_solve(replace(LINK, V_dc=1e200, diode_drop=1.0))),
+    ("power_scaling-1e308", "params", lambda p: power_scaling_check(LINK, 1e308, 150.0)),
 ]
 
 

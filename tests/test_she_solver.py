@@ -475,7 +475,7 @@ class TestNewton:
 
 class TestMultistart:
     def test_three_level_contains_reference_branch(self, targets_3, solution_3):
-        solutions = solve_multistart(targets_3, grid_step_deg=5.0)
+        solutions = solve_multistart(targets_3)
         assert len(solutions) >= 2
         gaps = [
             np.max(np.abs(s.angle_set.as_array() - solution_3.angle_set.as_array()))
@@ -484,13 +484,13 @@ class TestMultistart:
         assert min(gaps) < 0.01 * DEG
 
     def test_single_order_finds_thirty_degrees(self):
-        solutions = solve_multistart(HarmonicTargetSet((3,)), grid_step_deg=5.0)
+        solutions = solve_multistart(HarmonicTargetSet((3,)))
         assert any(
             abs(s.angle_set.to_degrees()[0] - 30.0) < 1e-6 for s in solutions
         )
 
     def test_four_level_contains_branch_near_printed(self, targets_4, solution_4):
-        solutions = solve_multistart(targets_4, grid_step_deg=5.0)
+        solutions = solve_multistart(targets_4)
         gaps = [
             np.max(np.abs(s.angle_set.as_array() - solution_4.angle_set.as_array()))
             for s in solutions
@@ -498,7 +498,7 @@ class TestMultistart:
         assert min(gaps) < 0.01 * DEG
 
     def test_sorted_and_deduplicated(self, targets_3):
-        solutions = solve_multistart(targets_3, grid_step_deg=5.0)
+        solutions = solve_multistart(targets_3)
         firsts = [s.angle_set.angles[0] for s in solutions]
         assert firsts == sorted(firsts)
         for i, a in enumerate(solutions):
@@ -508,14 +508,10 @@ class TestMultistart:
                     >= 0.01 * DEG
                 )
 
-    def test_rejects_bad_grid(self, targets_3):
-        with pytest.raises(ValidationError, match="grid_step_deg"):
-            solve_multistart(targets_3, grid_step_deg=20.0)
-
     def test_drops_roots_on_the_interval_bounds(self):
         # (3, 7, 9) has two roots with an angle at pi/2 - 5e-14: that layer
         # never switches, so it is not a branch
-        solutions = solve_multistart(HarmonicTargetSet((3, 7, 9)), grid_step_deg=5.0)
+        solutions = solve_multistart(HarmonicTargetSet((3, 7, 9)))
         assert len(solutions) == 2
         for sol in solutions:
             degs = np.array(sol.angle_set.to_degrees())
@@ -539,23 +535,12 @@ class TestMultistart:
                 continue
             found.append(out[1:])
         found.sort(key=lambda f: f[0][0])
-        got = solve_multistart(HarmonicTargetSet(orders), grid_step_deg=5.0)
+        got = solve_multistart(HarmonicTargetSet(orders))
         assert [(s.angle_set.angles, s.residual_norm, s.iterations) for s in got] == found
 
-    def test_chunk_boundaries_do_not_change_the_branches(self, monkeypatch):
-        targets = HarmonicTargetSet((5, 7, 11))
-        whole = solve_multistart(targets, grid_step_deg=5.0)
-        monkeypatch.setattr(she_solver, "MULTISTART_CHUNK", 7)
-        assert solve_multistart(targets, grid_step_deg=5.0) == whole
-        assert len(whole) == 7
-
-    # 397 seeds a chunk splits the 2,380 seeds into 6 chunks; 7 would take 5-7 s
-    @pytest.mark.parametrize("chunk", [None, 397])
     @pytest.mark.parametrize("orders", [(3, 5, 7, 9), (5, 7, 11, 13)])
-    def test_equals_the_seed_loop_on_four_level_targets(self, monkeypatch, orders, chunk):
-        if chunk is not None:
-            monkeypatch.setattr(she_solver, "MULTISTART_CHUNK", chunk)
-        got = solve_multistart(HarmonicTargetSet(orders), grid_step_deg=5.0)
+    def test_equals_the_seed_loop_on_four_level_targets(self, orders):
+        got = solve_multistart(HarmonicTargetSet(orders))
         want = _seed_loop_branches(orders)
         assert len(want) >= 2
         assert [(s.angle_set.angles, s.residual_norm, s.iterations) for s in got] == want
@@ -572,7 +557,7 @@ class TestMultistart:
     )
     def test_logs_seed_outcomes(self, caplog, orders, counts):
         with caplog.at_level(logging.DEBUG, logger="shewpt.she_solver"):
-            solve_multistart(HarmonicTargetSet(orders), grid_step_deg=5.0)
+            solve_multistart(HarmonicTargetSet(orders))
         records = [r for r in caplog.records if r.name == "shewpt.she_solver"]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
@@ -580,11 +565,11 @@ class TestMultistart:
 
     def test_logs_roots_dropped_on_the_bounds(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="shewpt.she_solver"):
-            solve_multistart(HarmonicTargetSet((3, 7, 9)), grid_step_deg=5.0)
+            solve_multistart(HarmonicTargetSet((3, 7, 9)))
         assert "141 on the bounds, 2 branches" in caplog.records[-1].getMessage()
 
     def test_silent_by_default(self, capsys):
-        solve_multistart(HarmonicTargetSet((3, 5)), grid_step_deg=5.0)
+        solve_multistart(HarmonicTargetSet((3, 5)))
         assert capsys.readouterr() == ("", "")
 
     def test_rejects_bad_tolerance(self, targets_3):
@@ -592,30 +577,13 @@ class TestMultistart:
             with pytest.raises(ValidationError, match="tol"):
                 solve_multistart(targets_3, tol=tol)
 
-    def test_cost_guard(self, targets_3, monkeypatch):
-        # C(89999, 3), about 1.2e14 seeds: rejected before any seed is iterated
-        def no_iteration(*args, **kwargs):
-            raise AssertionError("a seed was iterated")
-
-        monkeypatch.setattr(she_solver, "_newton_batch", no_iteration)
-        with pytest.raises(ValidationError, match="grid_step_deg.*cost guard"):
-            solve_multistart(targets_3, grid_step_deg=0.001)
-        with pytest.raises(ValidationError, match="grid_step_deg.*cost guard"):
-            solve_multistart(targets_3, grid_step_deg=1e-300)
-        # the largest lattice enumerated so far, (3,5,7,9) at 2 degrees, is admitted
-        assert math.comb(44, 4) == 135751 <= she_solver.MULTISTART_SEED_LIMIT
-
-    def test_finer_lattice_finds_no_new_branch(self, targets_3):
-        # 6,545 seeds at 2.5 deg reach the same two branches as 680 at 5 deg
-        coarse = solve_multistart(targets_3, grid_step_deg=5.0)
-        fine = solve_multistart(targets_3, grid_step_deg=2.5)
-        assert len(coarse) == len(fine) == 2
-        for a, b in zip(coarse, fine):
-            gap = np.abs(np.array(a.angle_set.to_degrees()) - b.angle_set.to_degrees())
-            assert np.max(gap) < 0.01
+    def test_seventeen_orders_iterate_the_one_seed(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="shewpt.she_solver"):
+            solve_multistart(HarmonicTargetSet(tuple(range(3, 37, 2))))
+        assert "at 5 deg: 1 seeds," in caplog.records[-1].getMessage()
 
     def test_eliminated_harmonics_of_every_branch(self, targets_3):
-        for sol in solve_multistart(targets_3, grid_step_deg=5.0):
+        for sol in solve_multistart(targets_3):
             b1 = harmonic_amplitude(sol.angle_set, 500.0, 1)
             for n in targets_3.orders:
                 assert abs(harmonic_amplitude(sol.angle_set, 500.0, n)) < 1e-9 * b1
@@ -761,7 +729,7 @@ class TestGridOracle:
         # the global lattice minimizer may sit on either exact branch; it
         # must agree with the nearest multistart root within the step
         oracle = grid_oracle(targets_4, 1.0)
-        branches = solve_multistart(targets_4, grid_step_deg=5.0)
+        branches = solve_multistart(targets_4)
         gaps = [
             np.max(
                 np.abs(
