@@ -1,9 +1,10 @@
 """Selective harmonic elimination: solve sum_i cos(n_k * theta_i) = 0.
 
 The square K-equation/K-angle system is solved by damped Newton iteration
-with the analytic Jacobian, seeded either from a user guess or from a full
-multistart lattice sweep. A brute-force grid search over the ascending
-angle lattice serves as an independent oracle.
+with the analytic Jacobian, seeded either from a user guess or from every
+ascending K-tuple of the fixed 5 degree multistart lattice (5, 10, ..., 85
+degrees, so at most 17 orders). A brute-force grid search over an ascending
+angle lattice of any step serves as an independent oracle.
 """
 
 from __future__ import annotations

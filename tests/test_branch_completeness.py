@@ -163,8 +163,12 @@ def subdivide(orders, cap=BOX_CAP):
         lower_hi[rows, side] = mid
         upper_lo[rows, side] = mid
         lo, hi = _cut_to_cone(np.concatenate([lo, upper_lo]), np.concatenate([lower_hi, hi]))
-    stack = lambda parts: tuple(np.concatenate(p).reshape(-1, k) for p in zip(*parts))  # noqa: E731
-    return stack(verified), stack(undecided), boxes
+    return _stack(verified), _stack(undecided), boxes
+
+
+def _stack(parts):
+    """One (lo, hi) pair of stacks from a list of them."""
+    return tuple(np.concatenate(side) for side in zip(*parts))
 
 
 # the four sets of the benchmark's branches workload, and two more
