@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import she_solver, spectrum as spec_mod, transient_sim, waveform, wpt_link
 from .errors import DivergenceError, NonConvergenceError, SingularMatrixError, ValidationError
-from .reporting import RunReport, _write_csv, spectrum_svg, waveform_svg
+from .reporting import RunReport, _read_json, _write_csv, spectrum_svg, waveform_svg
 from .reporting import write_json, write_meta_sidecar
 
 EXIT_OK = 0
@@ -209,10 +209,15 @@ def _add_transient_check(report: RunReport, params, fha, steps_per_cycle):
 
 def cmd_wpt(args) -> int:
     out_dir = _out_dir(args)
+    config = TABLE_LINK_CONFIG
     if args.config:
-        params = wpt_link.WptLinkParams.from_json(args.config)
-    else:
-        params = wpt_link.WptLinkParams.from_config(TABLE_LINK_CONFIG)
+        # read here, not by WptLinkParams.from_json, so that an error names
+        # the option, config, rather than from_json's argument, path
+        try:
+            config = _read_json(args.config)
+        except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
+            raise ValidationError(f"config: cannot read {args.config} as JSON: {exc}") from exc
+    params = wpt_link.WptLinkParams.from_config(config)
     report = RunReport(command="wpt", inputs={"mode": args.mode, "V_dc_V": params.V_dc})
     fha = wpt_link.fha_solve(params)
     report.outputs["fha"] = fha.to_dict()

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedThdError, ValidationError, _as_tuple, _check_count, _check_magnitude
+from .errors import UndefinedThdError, ValidationError, _as_tuple, _check_count
+from .errors import _check_magnitude, _check_record
 from .reporting import _write_csv
 from .waveform import (
     AngleSet,
@@ -172,6 +173,7 @@ def _spectrum_and_report(
     orders, from one DFT to the larger of n_max and the band, max(21,
     band_total) orders. Each order's amplitude is an elementwise function of
     its bin, so both take the bits of a DFT to their own orders."""
+    _check_record("w", w, SteppedWaveform)
     _check_count("n_max", n_max, 1)
     _check_count("band_total", band_total, 1)
     _check_count("samples_per_period", samples_per_period, 2)

@@ -17,6 +17,11 @@ batched passes rather than N sequential steps: the powers Phi^s by
 doubling, and the offsets c_s by an inclusive Hillis-Steele scan of the
 affine step maps (Hillis & Steele, "Data parallel algorithms", CACM 29(12),
 1986; Blelloch, "Prefix sums and their applications", CMU-CS-90-190, 1990).
+Both are stored state-major, the powers as (4, N + 1, 4) and the offsets as
+(4, N + 1), so that each doubling round is one matrix product on strided
+views of them rather than a 4x4 product per step; each entry is still the
+same four-term sum in the same order, so the bits are those of the per-step
+products (a test compares them byte for byte).
 
 Over one cycle the tank is then the affine map x -> P x + q; its periodic
 steady state is the fixed point x* = (I - P)^-1 q (shooting for a linear
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ValidationError, _check_count, _check_magnitude
+from .errors import _check_record
 from .reporting import _write_csv
 from .waveform import SteppedWaveform, _interval_means
 # fha_solve is not called here; it stays a module attribute because the
@@ -130,7 +136,7 @@ def _drive_samples(drive, steps_per_cycle: int):
     return level * _interval_means(theta, steps_per_cycle), freq
 
 
-# Longest cycle simulate accepts: its (steps + 1, 4, 4) float64 propagator
+# Longest cycle simulate accepts: its (4, steps + 1, 4) float64 propagator
 # stack is 128 MiB at 2**20 steps.
 MAX_STEPS_PER_CYCLE = 2**20
 
@@ -163,6 +169,7 @@ def simulate(
     for the steady state, when the propagator's spectral radius is >= 1 (a
     lossless tank rounds to that).
     """
+    _check_record("params", params, WptLinkParams)
     _check_steps_per_cycle(steps_per_cycle)
     if initial_state is not None:
         initial_state = np.asarray(initial_state)
@@ -181,24 +188,28 @@ def simulate(
     phi = eye + ah + ah2 / 2 + ah2 @ ah / 6 + ah2 @ ah2 / 24
     gamma = (dt * (eye + ah / 2 + ah2 / 6 + ah2 @ ah / 24)) @ b
 
-    # within-cycle propagators: x_s = pow[s] @ x_0 + conv[s]
-    pow_mats = np.empty((steps_per_cycle + 1, 4, 4))
-    conv = np.empty((steps_per_cycle + 1, 4))
-    pow_mats[0] = eye
-    pow_mats[1] = phi
-    conv[0] = 0.0
-    conv[1:] = gamma * v_cycle[:, None]
+    # within-cycle propagators, state-major: x_s = pow[:, s] @ x_0 + conv[:, s]
+    n = steps_per_cycle
+    pow_mats = np.empty((4, n + 1, 4))
+    flat = pow_mats.reshape(4, 4 * (n + 1))  # flat[:, 4 s : 4 s + 4] is Phi^s
+    conv = np.empty((4, n + 1))
+    pow_mats[:, 0] = eye
+    pow_mats[:, 1] = phi
+    conv[:, 0] = 0.0
+    conv[:, 1:] = gamma[:, None] * v_cycle
     # unstable steps overflow harmlessly here; the finiteness check below
     # turns them into DivergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         m = 1
-        while m < steps_per_cycle:
-            # pow[1 : m + 1] is filled, and conv[s] sums the last min(s, m)
-            # steps' offsets; both passes double that span
-            pow_mats[m + 1 : 2 * m + 1] = pow_mats[m] @ pow_mats[1 : m + 1]
-            conv[m + 1 :] += conv[1:-m] @ pow_mats[m].T
+        while m < n:
+            # pow[:, 1 : m + 1] is filled, and conv[:, s] sums the last
+            # min(s, m) steps' offsets; both passes double that span, each
+            # with one matrix product on strided views that copies no slice
+            np.matmul(pow_mats[:, m], flat[:, 4 : 4 * (m + 1)],
+                      out=flat[:, 4 * (m + 1) : 4 * (2 * m + 1)])
+            conv[:, m + 1 :] += pow_mats[:, m] @ conv[:, 1:-m]
             m *= 2
-    p, q = pow_mats[-1], conv[-1]
+    p, q = pow_mats[:, -1], conv[:, -1]
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise DivergenceError("one-cycle propagator is not finite")
     rho = float(np.max(np.abs(np.linalg.eigvals(p))))
@@ -208,7 +219,9 @@ def simulate(
         x = np.linalg.solve(eye - p, q)
     else:
         raise DivergenceError(f"spectral radius {rho!r} >= 1: no periodic steady state")
-    states = np.einsum("sij,j->si", pow_mats, x) + conv
+    # one matrix-vector product over every (row, step); the trace is
+    # step-major, (n + 1, 4) and C-contiguous
+    states = np.ascontiguousarray(((flat.reshape(-1, 4) @ x).reshape(4, n + 1) + conv).T)
     # one reduction over the whole cycle (a NaN fails the <= too); only a
     # failing cycle is scanned row by row for its first bad step
     if not np.abs(states).max() <= 1e9:
@@ -233,6 +246,8 @@ def steady_state_metrics(
     jumps at the drive switching edges; without it the trapezoidal mean of
     i^2 is only second-order accurate in the step size.
     """
+    _check_record("trace", trace, TransientTrace)
+    _check_record("params", params, WptLinkParams)
     r_ac = trace.r_ac
     spc = trace.steps_per_cycle
     cycle = trace.states[:-1]  # one full cycle, left-closed
@@ -281,6 +296,8 @@ def energy_balance_residual(
     energy moved during the cycle. ``r_ac`` must be the load the trace was
     integrated with, ``trace.r_ac``.
     """
+    _check_record("trace", trace, TransientTrace)
+    _check_record("params", params, WptLinkParams)
     _check_magnitude("r_ac", r_ac)
     if r_ac != trace.r_ac:
         raise ValidationError(f"r_ac: {r_ac!r} is not the trace's load {trace.r_ac!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError, _check_magnitude, _check_path
+from .errors import _check_record
 from .reporting import _read_json
 
 __all__ = [
@@ -66,7 +67,7 @@ class WptLinkParams:
         try:
             cfg = _read_json(path)
         except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
-            raise ValidationError(f"config: cannot read {path} as JSON: {exc}") from exc
+            raise ValidationError(f"path: cannot read link config {path} as JSON: {exc}") from exc
         return cls.from_config(cfg)
 
     @classmethod
@@ -133,6 +134,7 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
     bridge conducts (wM*|V1| > e*|Z11|) and none otherwise: the bridge
     blocks, I2 = 0 and I1 = V1/Z11.
     """
+    _check_record("params", params, WptLinkParams)
     w = 2.0 * math.pi * params.f_s
     wm = w * params.mutual
     z11 = params.R1 + 1j * (w * params.L1 - 1.0 / (w * params.C1))
@@ -144,10 +146,13 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
         emf, drop = wm * abs(v1), e * abs(z11)
         if emf > drop:
             # |a|^2 x^2 + 2 b x + c = 0 with b = e*Re(a*conj(Z11)) >= 0 and c < 0;
-            # its positive root x = -c / (b + sqrt(b^2 - |a|^2 c)) cancels nothing
-            b = e * (abs(z11) ** 2 * z22.real + wm**2 * z11.real)
+            # its positive root x = -c / (b + sqrt(b^2 - |a|^2 c)) cancels nothing;
+            # squares are products, which overflow to inf (named below) where
+            # a float's ** 2 raises OverflowError
+            a = abs(z11 * z22 + wm * wm)
+            b = e * (abs(z11) * abs(z11) * z22.real + wm * wm * z11.real)
             c = (drop - emf) * (drop + emf)
-            z22 += e * (b + math.sqrt(b * b - abs(z11 * z22 + wm**2) ** 2 * c)) / -c
+            z22 += e * (b + math.sqrt(b * b - a * a * c)) / -c
         else:
             wm = 0.0  # the bridge blocks: I2 = 0 leaves the primary uncoupled
     # a huge but finite value (V_dc = 1e200) overflows on the way: each

@@ -29,6 +29,7 @@ from shewpt import (
     simulate,
     solve_multistart,
     solve_newton,
+    steady_state_metrics,
     synth,
     thd,
     thd_report,
@@ -192,6 +193,21 @@ BAD_CALLS = [
     ("fha-diode-V_dc-1e200", "params",
      lambda p: fha_solve(replace(LINK, V_dc=1e200, diode_drop=1.0))),
     ("power_scaling-1e308", "params", lambda p: power_scaling_check(LINK, 1e308, 150.0)),
+    # Python's OverflowError from the ** 2 of the diode drop's quadratic
+    ("fha-diode-L-1e150", "params",
+     lambda p: fha_solve(replace(LINK, L1=1e150, L2=1e150, diode_drop=1.0))),
+    ("fha-diode-f_s-1e300", "params",
+     lambda p: fha_solve(replace(LINK, f_s=1e300, diode_drop=1.0))),
+    # AttributeError from a field of the missing record
+    ("fha-params-none", "params", lambda p: fha_solve(None)),
+    ("simulate-params-none", "params", lambda p: simulate(None, DRIVE, 512)),
+    ("metrics-trace-none", "trace", lambda p: steady_state_metrics(None, LINK)),
+    ("metrics-params-none", "params",
+     lambda p: steady_state_metrics(simulate(LINK, DRIVE, 512), None)),
+    ("energy-trace-none", "trace", lambda p: energy_balance_residual(None, LINK, LINK.r_ac)),
+    ("thd_report-w-none", "w", lambda p: thd_report(None)),
+    # named config, which the caller never passed
+    ("link-json-missing", "path", lambda p: WptLinkParams.from_json(p.parent / "missing.json")),
 ]
 
 

@@ -85,6 +85,36 @@ def _assert_matches_sequential_loop(params, drive, steps_per_cycle):
     assert p_out == pytest.approx(p_ref, rel=1e-11, abs=0)
 
 
+def _stacked_scan_cycle(params, drive, steps_per_cycle, initial_state=None):
+    # the step-major doubling scan that simulate ran before its propagators
+    # were stored state-major: a (steps + 1, 4, 4) stack of powers, a
+    # (steps + 1, 4) stack of offsets and an einsum for the states. The step
+    # map and the drive samples are the module's own; the scan is this copy's.
+    v_cycle, freq = transient_sim._drive_samples(drive, steps_per_cycle)
+    dt = 1.0 / (freq * steps_per_cycle)
+    a, b = transient_sim._system_matrices(params)
+    ah = a * dt
+    ah2 = ah @ ah
+    eye = np.eye(4)
+    phi = eye + ah + ah2 / 2 + ah2 @ ah / 6 + ah2 @ ah2 / 24
+    gamma = (dt * (eye + ah / 2 + ah2 / 6 + ah2 @ ah / 24)) @ b
+    pow_mats = np.empty((steps_per_cycle + 1, 4, 4))
+    conv = np.empty((steps_per_cycle + 1, 4))
+    pow_mats[0] = eye
+    pow_mats[1] = phi
+    conv[0] = 0.0
+    conv[1:] = gamma * v_cycle[:, None]
+    m = 1
+    while m < steps_per_cycle:
+        pow_mats[m + 1 : 2 * m + 1] = pow_mats[m] @ pow_mats[1 : m + 1]
+        conv[m + 1 :] += conv[1:-m] @ pow_mats[m].T
+        m *= 2
+    p, q = pow_mats[-1], conv[-1]
+    rho = float(np.max(np.abs(np.linalg.eigvals(p))))
+    x = np.linalg.solve(eye - p, q) if initial_state is None else initial_state
+    return np.einsum("sij,j->si", pow_mats, x) + conv, v_cycle, rho
+
+
 def _derivative(x, v_drive, params, r_ac):
     a, b = _tank_equations(params, r_ac)
     return a @ x + b * v_drive
@@ -200,6 +230,31 @@ class TestSimulate:
         p = replace(table_params, k=k, R_load_dc=r_load)
         drive = _drive(p, staircase, solution_3.angle_set)
         _assert_matches_sequential_loop(p, drive, spc)
+
+    @pytest.mark.parametrize("spc", [512, 4096, 65536])
+    def test_bytes_equal_the_stacked_scan(self, table_params, solution_3, spc):
+        # each entry is the same four-term sum in the same order, so storing
+        # the propagators state-major changes no bit; the table link and four
+        # random ones, square and staircase drive, steady state and a start
+        rng = np.random.default_rng(24)
+        links = [table_params] + [
+            replace(table_params, k=rng.uniform(0.05, 0.6), R_load_dc=rng.uniform(5.0, 500.0),
+                    L2=table_params.L2 * rng.uniform(0.5, 2.0),
+                    C2=table_params.C2 * rng.uniform(0.8, 1.25),
+                    R1=rng.uniform(0.0, 1.0), R2=rng.uniform(0.0, 1.0))
+            for _ in range(4)
+        ]
+        for p, staircase, start in itertools.product(
+            links, (False, True), (None, rng.normal(scale=3.0, size=4))
+        ):
+            drive = _drive(p, staircase, solution_3.angle_set)
+            trace = simulate(p, drive, steps_per_cycle=spc, initial_state=start)
+            states, v_cycle, rho = _stacked_scan_cycle(p, drive, spc, start)
+            assert trace.states.shape == (spc + 1, 4)
+            assert trace.states.flags.c_contiguous
+            assert trace.states.tobytes() == states.tobytes()
+            assert trace.drive.tobytes() == v_cycle.tobytes()
+            assert trace.spectral_radius == rho
 
     @pytest.mark.parametrize("amplitude", [0.0, 100.0, 1.0 / 3.0])
     def test_square_drive_is_plus_then_minus_amplitude(self, amplitude):
