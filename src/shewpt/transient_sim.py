@@ -221,7 +221,7 @@ def simulate(
         raise DivergenceError(f"spectral radius {rho!r} >= 1: no periodic steady state")
     # one matrix-vector product over every (row, step); the trace is
     # step-major, (n + 1, 4) and C-contiguous
-    states = np.ascontiguousarray(((flat.reshape(-1, 4) @ x).reshape(4, n + 1) + conv).T)
+    states = np.ascontiguousarray(((pow_mats.reshape(-1, 4) @ x).reshape(4, n + 1) + conv).T)
     # one reduction over the whole cycle (a NaN fails the <= too); only a
     # failing cycle is scanned row by row for its first bad step
     if not np.abs(states).max() <= 1e9:

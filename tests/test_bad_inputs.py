@@ -205,6 +205,8 @@ BAD_CALLS = [
     ("metrics-params-none", "params",
      lambda p: steady_state_metrics(simulate(LINK, DRIVE, 512), None)),
     ("energy-trace-none", "trace", lambda p: energy_balance_residual(None, LINK, LINK.r_ac)),
+    ("energy-params-none", "params",
+     lambda p: energy_balance_residual(simulate(LINK, DRIVE, 512), None, LINK.r_ac)),
     ("thd_report-w-none", "w", lambda p: thd_report(None)),
     # named config, which the caller never passed
     ("link-json-missing", "path", lambda p: WptLinkParams.from_json(p.parent / "missing.json")),
