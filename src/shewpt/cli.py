@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +21,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_COMPARISON_FAILED = 4
-
-OUTDIR_ENV = "SHEWPT_OUTDIR"
 
 # measured link of the experimental setup (coil pair at 85 kHz)
 TABLE_LINK_CONFIG = {
@@ -67,7 +64,7 @@ DRIVE_FREQUENCY = 85e3
 
 
 def _out_dir(args) -> Path:
-    path = Path(args.out_dir or os.environ.get(OUTDIR_ENV, "."))
+    path = Path(args.out_dir)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # FileExistsError: a file of that name is there
@@ -113,7 +110,7 @@ def cmd_solve(args) -> int:
     out_dir = _out_dir(args)
     targets = she_solver.HarmonicTargetSet(_parse_list(args.harmonics, "harmonics", int))
     if args.multistart:
-        solutions = she_solver.solve_multistart(targets, tol=args.tol, max_iter=args.max_iter)
+        solutions = she_solver.solve_multistart(targets)
         if not solutions:
             print("no solutions found by multistart", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
@@ -121,9 +118,7 @@ def cmd_solve(args) -> int:
         if args.init is None:
             raise ValidationError("init: required unless --multistart is given")
         init = waveform.AngleSet.from_degrees(_parse_list(args.init, "init", float))
-        solutions = [
-            she_solver.solve_newton(init, targets, tol=args.tol, max_iter=args.max_iter)
-        ]
+        solutions = [she_solver.solve_newton(init, targets)]
     json_path = _write_solution_files(solutions, targets, out_dir)
     for sol in solutions:
         degs = ", ".join(f"{d:.4f}" for d in sol.angle_set.to_degrees())
@@ -211,8 +206,6 @@ def cmd_wpt(args) -> int:
     out_dir = _out_dir(args)
     config = TABLE_LINK_CONFIG
     if args.config:
-        # read here, not by WptLinkParams.from_json, so that an error names
-        # the option, config, rather than from_json's argument, path
         try:
             config = _read_json(args.config)
         except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
@@ -237,7 +230,7 @@ def cmd_wpt(args) -> int:
 def _solve_reference(ref):
     targets = she_solver.HarmonicTargetSet(ref["orders"])
     init = waveform.AngleSet.from_degrees(ref["init_deg"])
-    return she_solver.solve_newton(init, targets, tol=1e-12)
+    return she_solver.solve_newton(init, targets)
 
 
 def _reproduce_level_case(ref, name, steps_per_cycle) -> RunReport:
@@ -329,15 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
             "analysis, and series-series WPT link simulation"
         ),
     )
-    parser.add_argument("--out-dir", default=None, help=f"output directory (or ${OUTDIR_ENV})")
+    parser.add_argument("--out-dir", default=".", help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("solve", help="solve a harmonic elimination angle system")
     p.add_argument("--harmonics", required=True, help="orders to eliminate, e.g. 3,5,7")
     p.add_argument("--init", default=None, help="initial angles in degrees, e.g. 11,41,85")
     p.add_argument("--multistart", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=60)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("synth", help="synthesize a stepped waveform to CSV/SVG")

@@ -23,7 +23,6 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
     _as_tuple,
-    _check_count,
     _check_magnitude,
     _check_record,
 )
@@ -43,8 +42,10 @@ MAX_STEP_HALVINGS = 30
 CONDITION_LIMIT = 1e12
 DEDUP_TOL_DEG = 0.01
 LATTICE_POINT_LIMIT = 1_000_000_000
-# a looser tolerance could accept a start guess far from any root as one
-TOL_MAX = 1e-6
+# Newton's residual tolerance and iteration cap, read at each call: the
+# branch-completeness proof checks multistart's branches at these values
+TOL = 1e-12
+MAX_ITER = 60
 # scores per grid_oracle matrix product (512 KiB), or one prefix's row where
 # that is longer: the 1 degree 4-level lattices never split a prefix group,
 # finer ones do; only the few blocks near the least score are scored twice
@@ -185,10 +186,6 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     Returns the last iterates (S, K), their residual norms, the outcome
     codes and the iteration counts (the step at which the seed retired).
     """
-    _check_magnitude("tol", tol)
-    if not tol <= TOL_MAX:
-        raise ValidationError(f"tol: {tol!r} must be in (0, {TOL_MAX!r}]")
-    _check_count("max_iter", max_iter, 1)
     theta = np.array(theta0, dtype=float)
     res = _residual_raw(theta, orders)
     norm = np.abs(res).max(axis=1)
@@ -257,23 +254,20 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     return theta, norm, status, iters
 
 
-def solve_newton(
-    initial: AngleSet,
-    targets: HarmonicTargetSet,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> SheSolution:
+def solve_newton(initial: AngleSet, targets: HarmonicTargetSet) -> SheSolution:
     """Damped Newton iteration from ``initial``: one seed of the batch kernel.
 
-    Steps are halved (up to 30 times) until the residual infinity-norm
-    decreases and the iterate stays inside (0, pi/2); iterates that cannot
-    be kept inside raise DivergenceError. A step that leaves the box jumps
-    past the halvings that provably leave it too (see _newton_batch), with
-    the same iterates as halving one scale at a time.
+    The iteration stops once the residual infinity-norm is below TOL
+    (1e-12), and raises NonConvergenceError, carrying the best iterate,
+    after MAX_ITER (60) steps without that. Steps are halved (up to 30
+    times) until the norm decreases and the iterate stays inside (0, pi/2);
+    iterates that cannot be kept inside raise DivergenceError. A step that
+    leaves the box jumps past the halvings that provably leave it too (see
+    _newton_batch), with the same iterates as halving one scale at a time.
     """
     _check_square("initial", initial, targets)
     theta, norm, status, iters = _newton_batch(
-        initial.as_array()[None, :], targets.as_array(), tol, max_iter
+        initial.as_array()[None, :], targets.as_array(), TOL, MAX_ITER
     )
     theta, norm, status, it = theta[0], float(norm[0]), status[0], int(iters[0])
     if status == CONVERGED:
@@ -285,10 +279,10 @@ def solve_newton(
             f"iterate left (0, pi/2) after full damping at iteration {it}"
         )
     # every accepted step lowers the norm, so the last iterate is the best
-    if it < max_iter:
+    if it < MAX_ITER:
         message = f"no residual decrease after {MAX_STEP_HALVINGS} halvings"
     else:
-        message = f"max_iter={max_iter} exceeded (best residual norm {norm:.3e})"
+        message = f"max_iter={MAX_ITER} exceeded (best residual norm {norm:.3e})"
     raise NonConvergenceError(
         message, best_angles=np.sort(theta), residual_norm=norm, iterations=it
     )
@@ -309,15 +303,12 @@ MULTISTART_VALUES = 17
 MULTISTART_STEP_DEG = 5.0
 
 
-def solve_multistart(
-    targets: HarmonicTargetSet,
-    tol: float = 1e-12,
-    max_iter: int = 60,
-) -> list[SheSolution]:
+def solve_multistart(targets: HarmonicTargetSet) -> list[SheSolution]:
     """Newton from every ascending K-tuple of the 5 degree lattice; distinct
     converged roots.
 
-    The seeds are iterated together, and their roots taken in lattice order.
+    The seeds are iterated together, each as solve_newton iterates it (to
+    TOL within MAX_ITER steps), and their roots taken in lattice order.
     Roots are deduplicated at 0.01 degrees per angle (the first seed
     reaching a root keeps it) and sorted by the first angle. Seeds that
     diverge, stall or meet a singular Jacobian are skipped, and so are roots
@@ -333,7 +324,7 @@ def solve_multistart(
         )
     values = np.radians(np.arange(1, MULTISTART_VALUES + 1) * MULTISTART_STEP_DEG)
     seeds = values[np.array(list(combinations(range(MULTISTART_VALUES), targets.size)))]
-    theta, norm, status, iters = _newton_batch(seeds, targets.as_array(), tol, max_iter)
+    theta, norm, status, iters = _newton_batch(seeds, targets.as_array(), TOL, MAX_ITER)
     counts = np.bincount(status, minlength=4)
     dedup = math.radians(DEDUP_TOL_DEG)
     rows = np.flatnonzero(status == CONVERGED)

@@ -102,6 +102,7 @@ def analytic_spectrum(
     angle_set: AngleSet, step_voltage: float, f1: float, n_max: int
 ) -> HarmonicSpectrum:
     """Closed-form Fourier amplitudes of the staircase."""
+    _check_record("angle_set", angle_set, AngleSet)
     _check_count("n_max", n_max, 1)
     _check_magnitude("f1", f1)
     amps = np.zeros(n_max + 1)
@@ -143,6 +144,7 @@ def waveform_dft_spectrum(
 
 def thd(spectrum: HarmonicSpectrum, n_max: int) -> float:
     """sqrt(sum of A_n^2 for n=2..n_max) / A_1."""
+    _check_record("spectrum", spectrum, HarmonicSpectrum)
     if isinstance(n_max, float) and n_max.is_integer():
         n_max = int(n_max)  # an integral float names that count
     _check_count("n_max", n_max, 1)
@@ -211,6 +213,7 @@ def thd_report(
 
 def spectrum_to_csv(spectrum: HarmonicSpectrum, path) -> None:
     """Header ``n,f_Hz,amp_V,rel_to_fund``."""
+    _check_record("spectrum", spectrum, HarmonicSpectrum)
     n = np.arange(1, spectrum.n_max + 1)
     amps = spectrum.amplitudes[1:]
     a1 = amps[0]

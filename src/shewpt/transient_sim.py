@@ -73,9 +73,12 @@ class TransientTrace:
     dt: float
     states: np.ndarray  # (steps_per_cycle + 1, 4)
     drive: np.ndarray  # (steps_per_cycle,) held over [s*dt, (s+1)*dt)
-    steps_per_cycle: int
     r_ac: float  # the AC load resistance the tank was integrated with
     spectral_radius: float  # of the one-cycle propagator P
+
+    @property
+    def steps_per_cycle(self) -> int:
+        return len(self.drive)
 
     def to_csv(self, path) -> None:
         """Header ``t_s,v_drive_V,i1_A,i2_A,vC1_V,vC2_V``."""
@@ -231,7 +234,6 @@ def simulate(
         dt=dt,
         states=states,
         drive=v_cycle,
-        steps_per_cycle=steps_per_cycle,
         r_ac=params.r_ac,
         spectral_radius=rho,
     )

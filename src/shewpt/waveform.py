@@ -120,7 +120,7 @@ class SteppedWaveform:
 
     def __post_init__(self):
         _check_record("angle_set", self.angle_set, AngleSet)
-        _check_magnitude("step_voltage", self.step_voltage)
+        _check_step_voltage(self.step_voltage, self.angle_set.levels)
         _check_magnitude("fundamental_frequency", self.fundamental_frequency)
 
     @property
@@ -160,6 +160,24 @@ class SteppedWaveform:
         return float(out) if out.ndim == 0 else out
 
 
+# Largest staircase peak, levels * step_voltage, in volts. Below it the
+# squares of the harmonic amplitudes, summed over any band, and the partial
+# sums of a DFT of any practical length stay far inside the float range.
+PEAK_VOLTAGE_MAX = 1e150
+
+
+def _check_step_voltage(step_voltage, levels: int) -> None:
+    """A step voltage is a magnitude, and ``levels`` steps of it at most
+    PEAK_VOLTAGE_MAX."""
+    _check_magnitude("step_voltage", step_voltage)
+    # as a Python float: numpy would cast the bound to a float32 step_voltage
+    if levels * float(step_voltage) > PEAK_VOLTAGE_MAX:
+        raise ValidationError(
+            f"step_voltage: {step_voltage!r} puts the {levels}-level peak above "
+            f"{PEAK_VOLTAGE_MAX:g} V"
+        )
+
+
 def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWaveform:
     """Build the stepped waveform for a solved angle set."""
     return SteppedWaveform(
@@ -170,7 +188,7 @@ def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWavefor
 def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.ndarray:
     """Signed b_n for an array of orders; even orders are exactly 0.0, and
     only the odd orders take cosines."""
-    _check_magnitude("step_voltage", step_voltage)
+    _check_step_voltage(step_voltage, theta.size)
     n = np.asarray(orders)
     odd = n % 2 != 0
     amps = np.zeros(n.shape)
@@ -181,6 +199,7 @@ def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.n
 
 def harmonic_amplitude(angle_set: AngleSet, step_voltage: float, n: int) -> float:
     """Peak amplitude of the n-th sine harmonic; exactly 0 for even n."""
+    _check_record("angle_set", angle_set, AngleSet)
     # nan fails, and a bool is no order
     real = isinstance(n, numbers.Real) and not isinstance(n, bool)
     if not (real and 1 <= n < math.inf and int(n) == n):
@@ -194,7 +213,8 @@ def fundamental_rms(angle_set: AngleSet, step_voltage: float) -> float:
 
 def total_rms(angle_set: AngleSet, step_voltage: float) -> float:
     """Closed-form time-domain RMS over a quarter period."""
-    _check_magnitude("step_voltage", step_voltage)
+    _check_record("angle_set", angle_set, AngleSet)
+    _check_step_voltage(step_voltage, angle_set.levels)
     theta = np.concatenate([[0.0], angle_set.as_array(), [math.pi / 2]])
     levels = np.arange(len(theta) - 1)
     mean_sq = (2.0 / math.pi) * float(np.sum(levels**2 * np.diff(theta)))
@@ -207,12 +227,14 @@ def interval_mean_samples(w: SteppedWaveform, count: int) -> np.ndarray:
     Area-accurate sampling: preserves the integral of the staircase even when
     switching edges fall between grid points.
     """
+    _check_record("w", w, SteppedWaveform)
     _check_count("count", count, 2)
     return w.step_voltage * _interval_means(w.angle_set.as_array(), count)
 
 
 def waveform_to_csv(w: SteppedWaveform, path, samples: int = 8192):
     """One period of pointwise samples, header ``t_s,v_V``; returns ``(t, v)``."""
+    _check_record("w", w, SteppedWaveform)
     _check_count("samples", samples, 2)
     t = np.arange(samples) * (w.period / samples)
     v = w.sample_at(t)

@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError, _check_magnitude, _check_path
-from .errors import _check_record
-from .reporting import _read_json
+from .errors import SingularMatrixError, ValidationError, _check_magnitude, _check_record
 
 __all__ = [
     "WptLinkParams",
@@ -62,15 +60,6 @@ class WptLinkParams:
         return 8.0 * self.R_load_dc / math.pi**2
 
     @classmethod
-    def from_json(cls, path) -> "WptLinkParams":
-        _check_path(path)
-        try:
-            cfg = _read_json(path)
-        except (OSError, ValueError) as exc:  # ValueError: not text, or not JSON
-            raise ValidationError(f"path: cannot read link config {path} as JSON: {exc}") from exc
-        return cls.from_config(cfg)
-
-    @classmethod
     def from_config(cls, cfg: dict) -> "WptLinkParams":
         if not isinstance(cfg, dict):
             raise ValidationError("config: must be a JSON object of SI-unit keys")
@@ -108,7 +97,11 @@ class FhaSolution:
     Z_in: complex
     P_out: float
     P_in: float
-    zvs_favorable: bool
+
+    @property
+    def zvs_favorable(self) -> bool:
+        """The input impedance is inductive (its phase is positive)."""
+        return cmath.phase(self.Z_in) > 0
 
     def to_dict(self) -> dict:
         return {
@@ -143,15 +136,22 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
     v1 = complex(4.0 * params.V_dc / (math.pi * math.sqrt(2.0)))
     e = 4.0 * params.diode_drop / (math.pi * math.sqrt(2.0))
     if e > 0:
-        emf, drop = wm * abs(v1), e * abs(z11)
+        abs_z11 = _modulus("Z11", z11)
+        emf, drop = wm * abs(v1), e * abs_z11
         if emf > drop:
             # |a|^2 x^2 + 2 b x + c = 0 with b = e*Re(a*conj(Z11)) >= 0 and c < 0;
             # its positive root x = -c / (b + sqrt(b^2 - |a|^2 c)) cancels nothing;
             # squares are products, which overflow to inf (named below) where
             # a float's ** 2 raises OverflowError
-            a = abs(z11 * z22 + wm * wm)
-            b = e * (abs(z11) * abs(z11) * z22.real + wm * wm * z11.real)
+            a = _modulus("Z11*Z22 + (wM)^2", z11 * z22 + wm * wm)
+            b = e * (abs_z11 * abs_z11 * z22.real + wm * wm * z11.real)
             c = (drop - emf) * (drop + emf)
+            # below the least normal float c has lost bits, or is -0.0
+            if -c < 2.0**-1022:
+                raise ValidationError(
+                    f"params: the diode-drop quadratic's c = {c!r} underflows; "
+                    f"a value is too small"
+                )
             z22 += e * (b + math.sqrt(b * b - a * a * c)) / -c
         else:
             wm = 0.0  # the bridge blocks: I2 = 0 leaves the primary uncoupled
@@ -173,11 +173,21 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
             Z_in=complex(z_in),
             P_out=float(abs(i2) ** 2 * params.r_ac),
             P_in=float((v1 * i1.conjugate()).real),
-            zvs_favorable=cmath.phase(z_in) > 0,
         )
     for name in ("V1", "I1", "I2", "Z_in", "P_out", "P_in"):
         _check_finite(name, getattr(solution, name))
     return solution
+
+
+def _modulus(name: str, value: complex) -> float:
+    """|value|, which Python's abs refuses with OverflowError beyond the
+    float range though both parts are finite."""
+    try:
+        return abs(value)
+    except OverflowError:
+        raise ValidationError(
+            f"params: |{name}| of {value!r} is not finite; a value is too large"
+        ) from None
 
 
 def _check_finite(name: str, value) -> None:
@@ -187,6 +197,7 @@ def _check_finite(name: str, value) -> None:
 
 def power_scaling_check(params: WptLinkParams, V_dc_a: float, V_dc_b: float) -> float:
     """P_out(V_dc_b) / P_out(V_dc_a); (V_dc_b/V_dc_a)^2 only without a diode drop."""
+    _check_record("params", params, WptLinkParams)
     p_a = fha_solve(replace(params, V_dc=V_dc_a)).P_out
     p_b = fha_solve(replace(params, V_dc=V_dc_b)).P_out
     if p_a == 0.0:

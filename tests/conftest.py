@@ -33,12 +33,12 @@ def targets_4():
 
 @pytest.fixture(scope="session")
 def solution_3(targets_3):
-    return solve_newton(AngleSet.from_degrees([11, 41, 85]), targets_3, tol=1e-12)
+    return solve_newton(AngleSet.from_degrees([11, 41, 85]), targets_3)
 
 
 @pytest.fixture(scope="session")
 def solution_4(targets_4):
-    return solve_newton(AngleSet.from_degrees([9, 26, 50, 86]), targets_4, tol=1e-12)
+    return solve_newton(AngleSet.from_degrees([9, 26, 50, 86]), targets_4)
 
 
 @pytest.fixture(scope="session")

@@ -45,7 +45,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_three_level_angles(targets_3, solution_3):
     start = time.perf_counter()
-    sol = solve_newton(AngleSet.from_degrees([11, 41, 85]), targets_3, tol=1e-12)
+    sol = solve_newton(AngleSet.from_degrees([11, 41, 85]), targets_3)
     newton_s = time.perf_counter() - start
     oracle = grid_oracle(targets_3, 0.5)
     gap = np.max(

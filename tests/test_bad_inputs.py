@@ -2,13 +2,18 @@
 the argument, with warnings raised as errors, instead of a silent answer or a
 TypeError or ValueError from deep inside numpy."""
 
+import dataclasses
+import importlib
+import inspect
 import math
 import os
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import shewpt
 from shewpt import (
     AngleSet,
     HarmonicTargetSet,
@@ -61,9 +66,6 @@ BAD_CALLS = [
     ("wdft-n_max-2.5", "n_max", lambda p: waveform_dft_spectrum(WAVE, 2.5)),
     ("wdft-samples-2.5", "samples", lambda p: waveform_dft_spectrum(WAVE, 21, 2.5)),
     ("wdft-samples-8192.0", "samples", lambda p: waveform_dft_spectrum(WAVE, 21, 8192.0)),
-    ("newton-max_iter-2.5", "max_iter", lambda p: solve_newton(ANGLES, TARGETS, max_iter=2.5)),
-    ("multistart-max_iter-2.5", "max_iter",
-     lambda p: solve_multistart(TARGETS, max_iter=2.5)),
     # accepted, read as 0.1 rad
     ("angles-str", "angles", lambda p: AngleSet(("0.1",))),
     ("angles-str-second", "angles", lambda p: AngleSet((0.1, "0.2"))),
@@ -118,17 +120,12 @@ BAD_CALLS = [
     # iteration, an accepted field, or a TypeError from a boolean index
     ("thd-n_max-true", "n_max", lambda p: thd(SPEC, True)),
     ("oracle-step-true", "step_deg", lambda p: grid_oracle(TARGETS, True)),
-    ("newton-max_iter-true", "max_iter", lambda p: solve_newton(ANGLES, TARGETS, max_iter=True)),
     ("wave-step-true", "step_voltage", lambda p: SteppedWaveform(ANGLES, True, 50.0)),
     ("square-amplitude-false", "amplitude", lambda p: SquareDrive(amplitude=False, frequency=85e3)),
     ("link-k-false", "k", lambda p: WptLinkParams(
         L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=False, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
     ("amplitude-n-true", "n", lambda p: SPEC.amplitude(True)),
     ("thd_report-order-true", "n", lambda p: thd_report(WAVE, eliminated_orders=(True,))),
-    # TypeError from the comparison 0 < tol
-    ("newton-tol-str", "tol", lambda p: solve_newton(ANGLES, TARGETS, tol="1e-12")),
-    ("multistart-tol-none", "tol",
-     lambda p: solve_multistart(TARGETS, tol=None)),
     # TypeError: a bare value was iterated
     ("angles-number", "angles", lambda p: AngleSet(0.5)),
     ("orders-number", "orders", lambda p: HarmonicTargetSet(3)),
@@ -208,8 +205,24 @@ BAD_CALLS = [
     ("energy-params-none", "params",
      lambda p: energy_balance_residual(simulate(LINK, DRIVE, 512), None, LINK.r_ac)),
     ("thd_report-w-none", "w", lambda p: thd_report(None)),
-    # named config, which the caller never passed
-    ("link-json-missing", "path", lambda p: WptLinkParams.from_json(p.parent / "missing.json")),
+    # with a diode drop: Python's OverflowError from abs(Z11), whose parts
+    # are finite; ZeroDivisionError where the quadratic's c underflows to -0.0
+    ("fha-diode-abs-Z11", "params", lambda p: fha_solve(
+        replace(LINK, R1=1.7e308, L1=1.7e308 / (2 * math.pi * 85e3), diode_drop=1.0))),
+    ("fha-diode-V_dc-1e-170", "params",
+     lambda p: fha_solve(replace(LINK, V_dc=1e-170, diode_drop=1e-172))),
+    # an infinite amplitude, a THD of 0.0, or a RuntimeWarning and nan from
+    # the interval means, the DFT or the squares of the THD band
+    ("harmonic-step-1e308", "step_voltage", lambda p: harmonic_amplitude(ANGLES, 1e308, 1)),
+    ("fund_rms-step-1e308", "step_voltage", lambda p: fundamental_rms(ANGLES, 1e308)),
+    ("analytic-step-1e308", "step_voltage",
+     lambda p: analytic_spectrum(ANGLES, 1e308, 85e3, 21)),
+    ("thd_closed-step-1e308", "step_voltage", lambda p: thd_total_closed_form(ANGLES, 1e308)),
+    ("wdft-step-1e308", "step_voltage",
+     lambda p: waveform_dft_spectrum(synth(ANGLES, 1e308, 85e3), 5)),
+    ("wdft-step-1e304", "step_voltage",
+     lambda p: waveform_dft_spectrum(synth(ANGLES, 1e304, 85e3), 5, 65536)),
+    ("thd_report-step-1e200", "step_voltage", lambda p: thd_report(synth(ANGLES, 1e200, 85e3))),
 ]
 
 
@@ -233,7 +246,6 @@ FD_CALLS = [
     ("sidecar", lambda fd: write_meta_sidecar(fd)),
     ("waveform-svg", lambda fd: waveform_svg([0.0, 1.0], [0.0, 1.0], fd)),
     ("spectrum-svg", lambda fd: spectrum_svg([1, 3], [1.0, 0.1], fd)),
-    ("link-json", lambda fd: WptLinkParams.from_json(fd)),
     ("numpy-integer", lambda fd: waveform_to_csv(WAVE, np.int64(fd), 4)),
 ]
 
@@ -262,7 +274,6 @@ def test_an_integer_path_is_refused_before_anything_is_opened(tmp_path, monkeypa
         lambda p: interval_mean_samples(WAVE, np.int32(64)),
         lambda p: waveform_dft_spectrum(WAVE, np.int64(21), np.int64(64)),
         lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, np.int64(21)),
-        lambda p: solve_newton(ANGLES, TARGETS, max_iter=np.int64(60)),
         lambda p: AngleSet((np.float32(0.1), np.float64(0.2), 1)),
         lambda p: HarmonicTargetSet((np.int64(3), 5.0)),
         lambda p: analytic_spectrum(ANGLES, np.float32(500.0), np.int64(85_000), 21).amplitude(
@@ -284,9 +295,94 @@ def test_an_integer_path_is_refused_before_anything_is_opened(tmp_path, monkeypa
         lambda p: HarmonicTargetSet((3,)),
         lambda p: HarmonicTargetSet((9, 15, 25)),
     ],
-    ids=["csv", "means", "wdft", "analytic", "newton", "angles", "orders", "amplitude",
+    ids=["csv", "means", "wdft", "analytic", "angles", "orders", "amplitude",
          "harmonic", "square", "times", "phase", "link-k", "degrees", "oracle", "thd_report",
          "dft-integers", "initial-state", "r_ac", "one-order", "no-common-factor"],
 )
 def test_numpy_integers_and_reals_are_accepted(tmp_path, call):
     call(tmp_path / "out.csv")
+
+
+# every public callable: each name in the __all__ of each shewpt module
+PUBLIC_CALLABLES = [
+    f"{module.__name__}.{name}"
+    for module in (importlib.import_module(f"shewpt.{info.name}")
+                   for info in pkgutil.iter_modules(shewpt.__path__))
+    for name in getattr(module, "__all__", ())
+    if callable(getattr(module, name))
+]
+
+PATH = object()  # a fresh file path in a valid call
+TRACE = simulate(LINK, DRIVE, 512)
+
+# one valid call of each public callable, by its positional arguments
+VALID_CALLS = {
+    "shewpt.she_solver.HarmonicTargetSet": ((3, 5, 7),),
+    "shewpt.she_solver.SheSolution": (ANGLES, 0.0, 0),
+    "shewpt.she_solver.residual": (ANGLES, TARGETS),
+    "shewpt.she_solver.jacobian": (ANGLES, TARGETS),
+    "shewpt.she_solver.solve_newton": (ANGLES, TARGETS),
+    "shewpt.she_solver.solve_multistart": (HarmonicTargetSet((3,)),),
+    "shewpt.she_solver.grid_oracle": (TARGETS, 15.0),
+    "shewpt.waveform.AngleSet": ((0.2, 0.7),),
+    "shewpt.waveform.SteppedWaveform": (ANGLES, 500.0, 85e3),
+    "shewpt.waveform.synth": (ANGLES, 500.0, 85e3),
+    "shewpt.waveform.harmonic_amplitude": (ANGLES, 500.0, 3),
+    "shewpt.waveform.fundamental_rms": (ANGLES, 500.0),
+    "shewpt.waveform.total_rms": (ANGLES, 500.0),
+    "shewpt.waveform.interval_mean_samples": (WAVE, 64),
+    "shewpt.waveform.waveform_to_csv": (WAVE, PATH, 4),
+    "shewpt.spectrum.HarmonicSpectrum": (85e3, np.zeros(4)),
+    "shewpt.spectrum.ThdReport": (0.2, 0.1, 999, 0.2, 0.0),
+    "shewpt.spectrum.dft_spectrum": (np.zeros(64), 50.0, 9),
+    "shewpt.spectrum.analytic_spectrum": (ANGLES, 500.0, 85e3, 21),
+    "shewpt.spectrum.waveform_dft_spectrum": (WAVE, 21),
+    "shewpt.spectrum.thd": (SPEC, 21),
+    "shewpt.spectrum.thd_total_closed_form": (ANGLES, 500.0),
+    "shewpt.spectrum.thd_report": (WAVE,),
+    "shewpt.spectrum.spectrum_to_csv": (SPEC, PATH),
+    "shewpt.wpt_link.WptLinkParams": (245e-6, 245e-6, 14e-9, 14e-9, 0.3, 50.0, 100.0, 85e3),
+    "shewpt.wpt_link.FhaSolution": (1j, 1j, 100.0, 100.0, 1.0, 1.0),
+    "shewpt.wpt_link.fha_solve": (LINK,),
+    "shewpt.wpt_link.power_scaling_check": (LINK, 100.0, 150.0),
+    "shewpt.transient_sim.TransientTrace": (1e-8, np.zeros((513, 4)), np.zeros(512), 1.0, 0.5),
+    "shewpt.transient_sim.SquareDrive": (100.0, 85e3),
+    "shewpt.transient_sim.SteadyStateMetrics": (1.0, 1.0, 1.0, 1.0, True),
+    "shewpt.transient_sim.simulate": (LINK, DRIVE, 512),
+    "shewpt.transient_sim.steady_state_metrics": (TRACE, LINK),
+    "shewpt.transient_sim.energy_balance_residual": (TRACE, LINK, LINK.r_ac),
+    "shewpt.reporting.ComparisonRow": ("row", 1.0, 1.0, 0.1),
+    "shewpt.reporting.RunReport": ("run", {}),
+    "shewpt.reporting.waveform_svg": ([0.0, 1.0], [0.0, 1.0], PATH),
+    "shewpt.reporting.spectrum_svg": ([1, 3], [1.0, 0.1], PATH),
+    "shewpt.reporting.write_json": ({"a": 1}, PATH),
+    "shewpt.reporting.write_meta_sidecar": (PATH,),
+}
+
+# (callable, record parameter) pairs that take None without an error
+NONE_ACCEPTED = {
+    # a result record that only the solvers build
+    ("shewpt.she_solver.SheSolution", "angle_set"),
+}
+
+
+def _is_record(value):
+    return (dataclasses.is_dataclass(value) and not isinstance(value, type)
+            and type(value).__module__.startswith("shewpt."))
+
+
+@pytest.mark.parametrize("key", PUBLIC_CALLABLES)
+def test_a_missing_record_raises_a_validation_error_naming_it(tmp_path, key):
+    # each record argument of the valid call is replaced by None in turn
+    module_name, name = key.rsplit(".", 1)
+    func = getattr(importlib.import_module(module_name), name)
+    assert key in VALID_CALLS, f"VALID_CALLS needs a valid call of {key}"
+    path = tmp_path / "out"
+    args = [path if arg is PATH else arg for arg in VALID_CALLS[key]]
+    arguments = inspect.signature(func).bind(*args).arguments
+    for param, value in arguments.items():
+        if _is_record(value) and (key, param) not in NONE_ACCEPTED:
+            with pytest.raises(ValidationError, match=rf"^{param}\b"):
+                func(**dict(arguments, **{param: None}))
+            assert not path.exists()
+    func(*args)

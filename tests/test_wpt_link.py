@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 from dataclasses import replace
 
@@ -179,22 +178,6 @@ class TestParams:
                 {"L1_H": 245e-6, "C1_F": 14e-9, "k": 0.3, "R_load_ohm": 50.0,
                  "V_dc_V": 100.0, "f_s_Hz": 85e3, typo: 0.5}
             )
-
-    def test_from_json(self, tmp_path, table_params):
-        path = tmp_path / "link.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "L1_H": 245e-6,
-                    "C1_F": 14e-9,
-                    "k": 0.309,
-                    "R_load_ohm": 50.0,
-                    "V_dc_V": 100.0,
-                    "f_s_Hz": 85e3,
-                }
-            )
-        )
-        assert WptLinkParams.from_json(path) == table_params
 
 
 class TestFhaSolve:
