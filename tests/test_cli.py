@@ -108,8 +108,8 @@ class TestSolve:
         assert not (tmp_path / "she_solution.json").exists()
 
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
-        # --out-dir is the one way to name the directory: SHEWPT_OUTDIR, read
-        # before, is ignored, and the default is the working directory
+        # --out-dir is the one way to name the directory: SHEWPT_OUTDIR is
+        # ignored, and the default is the working directory
         monkeypatch.setenv("SHEWPT_OUTDIR", str(tmp_path / "env"))
         monkeypatch.chdir(tmp_path)
         code, _, _ = run(capsys, ["solve", "--harmonics", "3", "--init", "25"])
