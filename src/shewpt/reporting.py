@@ -21,8 +21,6 @@ from .errors import _check_path
 __all__ = [
     "ComparisonRow",
     "RunReport",
-    "waveform_svg",
-    "spectrum_svg",
     "write_json",
     "write_meta_sidecar",
 ]
@@ -139,6 +137,8 @@ def _svg_header():
     )
 
 
+# The SVG plots are the CLI's, so not in __all__; cli imports them by these
+# names, which the benchmark's traced run (bench/spans.py) wraps
 def waveform_svg(t, v, path) -> None:
     """Polyline plot of one waveform period, a vertex at each end of a run of equal v."""
     _check_path(path)

@@ -312,9 +312,12 @@ def solve_multistart(targets: HarmonicTargetSet) -> list[SheSolution]:
     Roots are deduplicated at 0.01 degrees per angle (the first seed
     reaching a root keeps it) and sorted by the first angle. Seeds that
     diverge, stall or meet a singular Jacobian are skipped, and so are roots
-    with a repeated angle or an angle within 0.01 degrees of 0 or pi/2: that
-    layer never switches. One debug record on the ``shewpt.she_solver``
-    logger counts the outcomes. More than 17 orders have no ascending seed.
+    with a repeated angle or an angle within 0.01 degrees of 0 or pi/2. The
+    band is a minimum pulse width of 0.01 degrees of the period (0.33 ns at
+    85 kHz): such a layer's pulse (near pi/2), or the gap between its pulses
+    (near 0), is shorter than twice it. One debug record on the
+    ``shewpt.she_solver`` logger counts the outcomes. More than 17 orders
+    have no ascending seed.
     """
     _check_record("targets", targets, HarmonicTargetSet)
     if targets.size > MULTISTART_VALUES:

@@ -32,6 +32,7 @@ of P is the factor by which a start-up transient decays per cycle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,12 +297,13 @@ def energy_balance_residual(
     is v_s times the trapezoidal mean of i1 over the step; dissipation uses
     the trapezoidal mean of the squared currents. Normalised by the gross
     energy moved during the cycle. ``r_ac`` must be the load the trace was
-    integrated with, ``trace.r_ac``.
+    integrated with, ``trace.r_ac``: equality with it is the rule, not the
+    magnitude domain, whose least value is above the r_ac of the least load.
     """
     _check_record("trace", trace, TransientTrace)
     _check_record("params", params, WptLinkParams)
-    _check_magnitude("r_ac", r_ac)
-    if r_ac != trace.r_ac:
+    # a bool is no load, and an array has no single truth value
+    if not isinstance(r_ac, numbers.Real) or isinstance(r_ac, bool) or r_ac != trace.r_ac:
         raise ValidationError(f"r_ac: {r_ac!r} is not the trace's load {trace.r_ac!r}")
     seg, drive = trace.states, trace.drive
     i1, i2 = seg[:, 0], seg[:, 1]

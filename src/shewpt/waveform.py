@@ -120,7 +120,7 @@ class SteppedWaveform:
 
     def __post_init__(self):
         _check_record("angle_set", self.angle_set, AngleSet)
-        _check_step_voltage(self.step_voltage, self.angle_set.levels)
+        _check_magnitude("step_voltage", self.step_voltage)
         _check_magnitude("fundamental_frequency", self.fundamental_frequency)
 
     @property
@@ -160,24 +160,6 @@ class SteppedWaveform:
         return float(out) if out.ndim == 0 else out
 
 
-# Largest staircase peak, levels * step_voltage, in volts. Below it the
-# squares of the harmonic amplitudes, summed over any band, and the partial
-# sums of a DFT of any practical length stay far inside the float range.
-PEAK_VOLTAGE_MAX = 1e150
-
-
-def _check_step_voltage(step_voltage, levels: int) -> None:
-    """A step voltage is a magnitude, and ``levels`` steps of it at most
-    PEAK_VOLTAGE_MAX."""
-    _check_magnitude("step_voltage", step_voltage)
-    # as a Python float: numpy would cast the bound to a float32 step_voltage
-    if levels * float(step_voltage) > PEAK_VOLTAGE_MAX:
-        raise ValidationError(
-            f"step_voltage: {step_voltage!r} puts the {levels}-level peak above "
-            f"{PEAK_VOLTAGE_MAX:g} V"
-        )
-
-
 def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWaveform:
     """Build the stepped waveform for a solved angle set."""
     return SteppedWaveform(
@@ -188,7 +170,7 @@ def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWavefor
 def _harmonic_amplitudes(theta: np.ndarray, step_voltage: float, orders) -> np.ndarray:
     """Signed b_n for an array of orders; even orders are exactly 0.0, and
     only the odd orders take cosines."""
-    _check_step_voltage(step_voltage, theta.size)
+    _check_magnitude("step_voltage", step_voltage)
     n = np.asarray(orders)
     odd = n % 2 != 0
     amps = np.zeros(n.shape)
@@ -214,7 +196,7 @@ def fundamental_rms(angle_set: AngleSet, step_voltage: float) -> float:
 def total_rms(angle_set: AngleSet, step_voltage: float) -> float:
     """Closed-form time-domain RMS over a quarter period."""
     _check_record("angle_set", angle_set, AngleSet)
-    _check_step_voltage(step_voltage, angle_set.levels)
+    _check_magnitude("step_voltage", step_voltage)
     theta = np.concatenate([[0.0], angle_set.as_array(), [math.pi / 2]])
     levels = np.arange(len(theta) - 1)
     mean_sq = (2.0 / math.pi) * float(np.sum(levels**2 * np.diff(theta)))

@@ -56,8 +56,6 @@ PUBLIC_API = {
     "shewpt.reporting": [
         "ComparisonRow",
         "RunReport",
-        "waveform_svg",
-        "spectrum_svg",
         "write_json",
         "write_meta_sidecar",
     ],
@@ -142,8 +140,6 @@ SIGNATURES = {
         "RunReport.add_comparison": "(self, name, reference, computed, tolerance)",
         "RunReport.to_dict": "(self)",
         "RunReport.format_text": "(self)",
-        "waveform_svg": "(t, v, path)",
-        "spectrum_svg": "(orders, rel_amplitudes, path)",
         "write_json": "(obj, path)",
         "write_meta_sidecar": "(path)",
     },
@@ -242,7 +238,7 @@ def test_only_reporting_reads_or_writes_data_formats():
 # method or lambda but self and cls, private helpers and nested functions
 # included; each field of a dataclass; each add_argument call; and each read
 # of an environment variable. A new option changes this count.
-SETTABLE_VALUES = 242
+SETTABLE_VALUES = 236
 
 
 def _is_dataclass(decorator):

@@ -55,6 +55,10 @@ SPEC = analytic_spectrum(ANGLES, 500.0, 85e3, 21)
 LINK = WptLinkParams(
     L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)
 DRIVE = SquareDrive(100.0, 85e3)
+Z_IN_CANCELLED = WptLinkParams(
+    L1=909875198.0017633, L2=353978760823.7453, C1=1.7736670888508296e-11,
+    C2=4.5590749283992156e-14, k=0.09706910962272153, R_load_dc=1.6472476309138162e-11,
+    V_dc=3.487871803242832e-14, f_s=1.2528329425679188, R1=49270425523.25253)
 
 # (id, the argument the message names, the call)
 BAD_CALLS = [
@@ -184,16 +188,17 @@ BAD_CALLS = [
     ("multistart-orders-18", "orders",
      lambda p: solve_multistart(HarmonicTargetSet(tuple(range(3, 39, 2))))),
     # a RuntimeWarning, then nan in every field, an infinite P_out, or a nan
-    # ratio; with a diode drop, numpy's LinAlgError
-    ("fha-V_dc-1e308", "params", lambda p: fha_solve(replace(LINK, V_dc=1e308))),
-    ("fha-V_dc-1e200", "params", lambda p: fha_solve(replace(LINK, V_dc=1e200))),
-    ("fha-diode-V_dc-1e200", "params",
+    # ratio; with a diode drop, numpy's LinAlgError. Each value is outside the
+    # magnitude domain, which names it
+    ("fha-V_dc-1e308", "V_dc", lambda p: fha_solve(replace(LINK, V_dc=1e308))),
+    ("fha-V_dc-1e200", "V_dc", lambda p: fha_solve(replace(LINK, V_dc=1e200))),
+    ("fha-diode-V_dc-1e200", "V_dc",
      lambda p: fha_solve(replace(LINK, V_dc=1e200, diode_drop=1.0))),
-    ("power_scaling-1e308", "params", lambda p: power_scaling_check(LINK, 1e308, 150.0)),
+    ("power_scaling-1e308", "V_dc", lambda p: power_scaling_check(LINK, 1e308, 150.0)),
     # Python's OverflowError from the ** 2 of the diode drop's quadratic
-    ("fha-diode-L-1e150", "params",
+    ("fha-diode-L-1e150", "L1",
      lambda p: fha_solve(replace(LINK, L1=1e150, L2=1e150, diode_drop=1.0))),
-    ("fha-diode-f_s-1e300", "params",
+    ("fha-diode-f_s-1e300", "f_s",
      lambda p: fha_solve(replace(LINK, f_s=1e300, diode_drop=1.0))),
     # AttributeError from a field of the missing record
     ("fha-params-none", "params", lambda p: fha_solve(None)),
@@ -206,10 +211,11 @@ BAD_CALLS = [
      lambda p: energy_balance_residual(simulate(LINK, DRIVE, 512), None, LINK.r_ac)),
     ("thd_report-w-none", "w", lambda p: thd_report(None)),
     # with a diode drop: Python's OverflowError from abs(Z11), whose parts
-    # are finite; ZeroDivisionError where the quadratic's c underflows to -0.0
-    ("fha-diode-abs-Z11", "params", lambda p: fha_solve(
+    # are finite; ZeroDivisionError where the quadratic's c underflows to -0.0.
+    # The link's fields are checked in order, so L1 is named before R1
+    ("fha-diode-abs-Z11", "L1", lambda p: fha_solve(
         replace(LINK, R1=1.7e308, L1=1.7e308 / (2 * math.pi * 85e3), diode_drop=1.0))),
-    ("fha-diode-V_dc-1e-170", "params",
+    ("fha-diode-V_dc-1e-170", "V_dc",
      lambda p: fha_solve(replace(LINK, V_dc=1e-170, diode_drop=1e-172))),
     # an infinite amplitude, a THD of 0.0, or a RuntimeWarning and nan from
     # the interval means, the DFT or the squares of the THD band
@@ -223,17 +229,39 @@ BAD_CALLS = [
     ("wdft-step-1e304", "step_voltage",
      lambda p: waveform_dft_spectrum(synth(ANGLES, 1e304, 85e3), 5, 65536)),
     ("thd_report-step-1e200", "step_voltage", lambda p: thd_report(synth(ANGLES, 1e200, 85e3))),
+    # outside the magnitude domain: a THD band of 0.0, its squares underflowed;
+    # a value, and an accepted link
+    ("thd_report-step-1e-170", "step_voltage", lambda p: thd_report(synth(ANGLES, 1e-170, 85e3))),
+    ("total_rms-step-1e-16", "step_voltage", lambda p: total_rms(ANGLES, 1e-16)),
+    ("link-V_dc-1e16", "V_dc", lambda p: WptLinkParams(
+        L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=1e16, f_s=85e3)),
+    # a link inside the domain whose mesh solve rounds I1 to 0, though
+    # Z_in = Z11 + (wM)^2 / Z22 is about 1.41e31: Z_in = (inf+nanj)
+    ("fha-Z_in-cancelled", "params", lambda p: fha_solve(Z_IN_CANCELLED)),
+    # a path is a string or a path object: None wrote None.meta.json into the
+    # working directory, bytes opened a file, and None, a float or a list
+    # raised TypeError from open
+    ("sidecar-path-none", "path", lambda p: write_meta_sidecar(None)),
+    ("json-path-none", "path", lambda p: write_json({"a": 1}, None)),
+    ("json-path-bytes", "path", lambda p: write_json({"a": 1}, os.fsencode(p))),
+    ("csv-path-float", "path", lambda p: waveform_to_csv(WAVE, 2.5, 4)),
+    ("spectrum-csv-path-list", "path", lambda p: spectrum_to_csv(SPEC, [p])),
+    ("waveform-svg-path-none", "path", lambda p: waveform_svg([0.0, 1.0], [0.0, 1.0], None)),
+    ("spectrum-svg-path-float", "path", lambda p: spectrum_svg([1, 3], [1.0, 0.1], 2.5)),
 ]
 
 
 @pytest.mark.parametrize(
     "argument, call", [row[1:] for row in BAD_CALLS], ids=[row[0] for row in BAD_CALLS]
 )
-def test_bad_arguments_raise_a_validation_error_naming_them(tmp_path, argument, call):
-    path = tmp_path / "out.csv"
+def test_bad_arguments_raise_a_validation_error_naming_them(
+    tmp_path, monkeypatch, argument, call
+):
+    # the working directory is tmp_path, and nothing is written into it
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError, match=rf"^{argument}\b"):
-        call(path)
-    assert not path.exists()
+        call(tmp_path / "out.csv")
+    assert os.listdir(tmp_path) == []
 
 
 # each wrote into the descriptor's file (or read it) and then closed it
@@ -353,8 +381,6 @@ VALID_CALLS = {
     "shewpt.transient_sim.energy_balance_residual": (TRACE, LINK, LINK.r_ac),
     "shewpt.reporting.ComparisonRow": ("row", 1.0, 1.0, 0.1),
     "shewpt.reporting.RunReport": ("run", {}),
-    "shewpt.reporting.waveform_svg": ([0.0, 1.0], [0.0, 1.0], PATH),
-    "shewpt.reporting.spectrum_svg": ([1, 3], [1.0, 0.1], PATH),
     "shewpt.reporting.write_json": ({"a": 1}, PATH),
     "shewpt.reporting.write_meta_sidecar": (PATH,),
 }
@@ -386,3 +412,80 @@ def test_a_missing_record_raises_a_validation_error_naming_it(tmp_path, key):
                 func(**dict(arguments, **{param: None}))
             assert not path.exists()
     func(*args)
+
+
+# the magnitude parameters of each public callable, by one rule: each real
+# argument of its valid call, defaults included, but those of the records the
+# package builds for a caller to read, and of HarmonicSpectrum, which has no
+# rule yet
+MAGNITUDES = {
+    "shewpt.she_solver.grid_oracle": ("step_deg",),
+    "shewpt.waveform.SteppedWaveform": ("step_voltage", "fundamental_frequency"),
+    "shewpt.waveform.synth": ("step_voltage", "f1"),
+    "shewpt.waveform.harmonic_amplitude": ("step_voltage",),
+    "shewpt.waveform.fundamental_rms": ("step_voltage",),
+    "shewpt.waveform.total_rms": ("step_voltage",),
+    "shewpt.spectrum.dft_spectrum": ("f1",),
+    "shewpt.spectrum.analytic_spectrum": ("step_voltage", "f1"),
+    "shewpt.spectrum.thd_total_closed_form": ("step_voltage",),
+    "shewpt.wpt_link.WptLinkParams": (
+        "L1", "L2", "C1", "C2", "k", "R_load_dc", "V_dc", "f_s", "R1", "R2", "diode_drop"),
+    "shewpt.wpt_link.power_scaling_check": ("V_dc_a", "V_dc_b"),
+    "shewpt.transient_sim.SquareDrive": ("amplitude", "frequency"),
+    "shewpt.transient_sim.energy_balance_residual": ("r_ac",),
+}
+UNCHECKED_RECORDS = {
+    "shewpt.she_solver.SheSolution",
+    "shewpt.spectrum.HarmonicSpectrum",
+    "shewpt.spectrum.ThdReport",
+    "shewpt.wpt_link.FhaSolution",
+    "shewpt.transient_sim.TransientTrace",
+    "shewpt.transient_sim.SteadyStateMetrics",
+    "shewpt.reporting.ComparisonRow",
+}
+# the field a message names where a callable passes its argument on
+NAMED_AS = {
+    ("shewpt.waveform.synth", "f1"): "fundamental_frequency",
+    ("shewpt.wpt_link.power_scaling_check", "V_dc_a"): "V_dc",
+    ("shewpt.wpt_link.power_scaling_check", "V_dc_b"): "V_dc",
+}
+
+
+def _valid_arguments(key, path):
+    module_name, name = key.rsplit(".", 1)
+    func = getattr(importlib.import_module(module_name), name)
+    args = [path if arg is PATH else arg for arg in VALID_CALLS[key]]
+    bound = inspect.signature(func).bind(*args)
+    bound.apply_defaults()
+    return func, bound.arguments
+
+
+@pytest.mark.parametrize("key", [key for key in PUBLIC_CALLABLES if key not in UNCHECKED_RECORDS])
+def test_the_magnitudes_are_the_real_arguments(tmp_path, key):
+    _, arguments = _valid_arguments(key, tmp_path / "out")
+    reals = tuple(param for param, value in arguments.items() if isinstance(value, float))
+    assert reals == MAGNITUDES.get(key, ())
+
+
+@pytest.mark.parametrize("value", [1e-16, 1e16])
+@pytest.mark.parametrize(
+    "key, param", [(key, param) for key, params in MAGNITUDES.items() for param in params]
+)
+def test_a_magnitude_outside_the_domain_raises_naming_it(tmp_path, key, param, value):
+    func, arguments = _valid_arguments(key, tmp_path / "out")
+    name = NAMED_AS.get((key, param), param)
+    with pytest.raises(ValidationError, match=rf"^{name}\b"):
+        func(**dict(arguments, **{param: value}))
+
+
+def test_the_least_load_passes_its_own_r_ac():
+    # r_ac = 8e-15 / pi^2 = 8.1e-16 is below the magnitude domain: the rule
+    # for energy_balance_residual's r_ac is equality with trace.r_ac
+    link = replace(LINK, R_load_dc=1e-15)
+    assert link.r_ac < 1e-15
+    trace = simulate(link, DRIVE, 512, initial_state=np.zeros(4))
+    assert math.isfinite(energy_balance_residual(trace, link, link.r_ac))
+
+
+def test_the_magnitude_tables_name_public_callables():
+    assert set(MAGNITUDES) | UNCHECKED_RECORDS <= set(PUBLIC_CALLABLES)

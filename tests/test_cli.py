@@ -368,6 +368,9 @@ class TestWpt:
           "--frequency", "inf"], "fundamental_frequency"),
         (["synth", "--angles-deg", "12,42,86", "--step-voltage", "inf"],
          "step_voltage"),
+        # outside the magnitude domain: it wrote a waveform with a 3e16 V peak
+        (["synth", "--angles-deg", "12,42,86", "--step-voltage", "1e16"],
+         "step_voltage"),
         (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
           "--n-max", "0"], "n_max"),
         (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
@@ -384,7 +387,7 @@ class TestWpt:
     ],
     ids=[
         "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
-        "synth-step-voltage-inf", "spectrum-n-max-0", "spectrum-eliminated-not-int",
+        "synth-step-voltage-inf", "synth-step-voltage-1e16", "spectrum-n-max-0", "spectrum-eliminated-not-int",
         "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
         "wpt-config-list", "wpt-config-unknown-key", "spectrum-samples-below-thd-band",
         "multistart-empty-lattice",

@@ -1,5 +1,8 @@
 import cmath
+import itertools
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -339,3 +342,82 @@ class TestPowerScaling:
     def test_zero_base_rejected(self, table_params):
         with pytest.raises(ValidationError, match="V_dc_a"):
             power_scaling_check(replace(table_params, k=0.0), 100.0, 150.0)
+
+
+# The magnitude domain, written out: the tests keep their own literals
+LO, HI = 1e-15, 1e15
+Z_IN_MESSAGE = r"^params: Z_in = .* is not finite; the mesh solve lost it to rounding$"
+
+
+def _solves_or_raises_singular_or_z_in(params):
+    """'solved' with all six fields finite, or 'singular', or 'z_in' for the
+    named Z_in that the mesh solve lost; anything else fails."""
+    try:
+        solution = fha_solve(params)
+    except SingularMatrixError:
+        return "singular"
+    except ValidationError as exc:
+        assert re.match(Z_IN_MESSAGE, str(exc)), str(exc)
+        return "z_in"
+    for name in ("I1", "I2", "V1", "Z_in", "P_out", "P_in"):
+        assert cmath.isfinite(getattr(solution, name)), (params, name)
+    return "solved"
+
+
+class TestMagnitudeDomain:
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    def test_every_corner_of_the_box(self):
+        # each of L1, L2, C1, C2, R_load_dc, V_dc and f_s at either end, k at 0,
+        # at the least value or just below 1, and R1, R2 and the diode drop
+        # together at 0 or at either end: 2^7 * 3 * 3 = 1,152 links
+        names = ("L1", "L2", "C1", "C2", "R_load_dc", "V_dc", "f_s")
+        outcomes = Counter(
+            _solves_or_raises_singular_or_z_in(WptLinkParams(
+                **dict(zip(names, corner)), k=k, R1=r, R2=r, diode_drop=r))
+            for corner in itertools.product((LO, HI), repeat=len(names))
+            for k in (0.0, LO, math.nextafter(1.0, 0.0))
+            for r in (0.0, LO, HI)
+        )
+        assert sum(outcomes.values()) == 1152
+        assert outcomes["solved"] > 0 and outcomes["singular"] > 0
+
+    def test_a_log_uniform_sample_of_the_box(self):
+        # every third link is tuned to resonance on both sides where its
+        # capacitances stay inside the box (321 links); R1, R2 and the drop
+        # are often 0
+        rng = np.random.default_rng(26)
+        resonant = 0
+        outcomes = Counter()
+        for i in range(3000):
+            x = 10.0 ** rng.uniform(-15.0, 15.0, size=10)
+            params = WptLinkParams(
+                L1=x[0], L2=x[1], C1=x[2], C2=x[3], k=rng.uniform(0.0, 1.0),
+                R_load_dc=x[4], V_dc=x[5], f_s=x[6],
+                R1=x[7] * (rng.random() < 0.7), R2=x[8] * (rng.random() < 0.7),
+                diode_drop=x[9] * (rng.random() < 0.5),
+            )
+            if i % 3 == 0:
+                w = 2 * math.pi * params.f_s
+                c1, c2 = 1 / (w * w * params.L1), 1 / (w * w * params.L2)
+                if LO <= c1 <= HI and LO <= c2 <= HI:
+                    params = replace(params, C1=c1, C2=c2)
+                    resonant += 1
+            outcomes[_solves_or_raises_singular_or_z_in(params)] += 1
+        assert resonant > 300
+        assert outcomes["solved"] > 0 and outcomes["singular"] > 0
+
+    def test_a_z_in_lost_to_rounding_is_named(self):
+        # inside the box, with a mesh of condition number about 12,
+        # np.linalg.solve rounds I1 to 0: Z_in = V1 / I1 is (inf+nanj), though
+        # Z11 + (wM)^2 / Z22 is finite
+        params = WptLinkParams(
+            L1=909875198.0017633, L2=353978760823.7453, C1=1.7736670888508296e-11,
+            C2=4.5590749283992156e-14, k=0.09706910962272153,
+            R_load_dc=1.6472476309138162e-11, V_dc=3.487871803242832e-14,
+            f_s=1.2528329425679188, R1=49270425523.25253,
+        )
+        z11, z22, wm = _mesh_impedances(params)
+        assert 1e31 < abs(z11 + wm * wm / z22) < 2e31
+        with pytest.raises(ValidationError, match=Z_IN_MESSAGE):
+            fha_solve(params)
