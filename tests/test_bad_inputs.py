@@ -400,18 +400,26 @@ def _is_record(value):
 @pytest.mark.parametrize("key", PUBLIC_CALLABLES)
 def test_a_missing_record_raises_a_validation_error_naming_it(tmp_path, key):
     # each record argument of the valid call is replaced by None in turn
-    module_name, name = key.rsplit(".", 1)
-    func = getattr(importlib.import_module(module_name), name)
     assert key in VALID_CALLS, f"VALID_CALLS needs a valid call of {key}"
     path = tmp_path / "out"
-    args = [path if arg is PATH else arg for arg in VALID_CALLS[key]]
-    arguments = inspect.signature(func).bind(*args).arguments
+    func, arguments = _valid_arguments(key, path)
     for param, value in arguments.items():
         if _is_record(value) and (key, param) not in NONE_ACCEPTED:
             with pytest.raises(ValidationError, match=rf"^{param}\b"):
                 func(**dict(arguments, **{param: None}))
             assert not path.exists()
-    func(*args)
+    func(**arguments)
+
+
+def _valid_arguments(key, path):
+    """The callable of ``key`` and the arguments of its valid call, by name,
+    defaults included, with ``path`` for PATH."""
+    module_name, name = key.rsplit(".", 1)
+    func = getattr(importlib.import_module(module_name), name)
+    args = [path if arg is PATH else arg for arg in VALID_CALLS[key]]
+    bound = inspect.signature(func).bind(*args)
+    bound.apply_defaults()
+    return func, bound.arguments
 
 
 # the magnitude parameters of each public callable, by one rule: each real
@@ -449,15 +457,6 @@ NAMED_AS = {
     ("shewpt.wpt_link.power_scaling_check", "V_dc_a"): "V_dc",
     ("shewpt.wpt_link.power_scaling_check", "V_dc_b"): "V_dc",
 }
-
-
-def _valid_arguments(key, path):
-    module_name, name = key.rsplit(".", 1)
-    func = getattr(importlib.import_module(module_name), name)
-    args = [path if arg is PATH else arg for arg in VALID_CALLS[key]]
-    bound = inspect.signature(func).bind(*args)
-    bound.apply_defaults()
-    return func, bound.arguments
 
 
 @pytest.mark.parametrize("key", [key for key in PUBLIC_CALLABLES if key not in UNCHECKED_RECORDS])
