@@ -162,6 +162,7 @@ class SteppedWaveform:
 
 def synth(angle_set: AngleSet, step_voltage: float, f1: float) -> SteppedWaveform:
     """Build the stepped waveform for a solved angle set."""
+    _check_magnitude("f1", f1)
     return SteppedWaveform(
         angle_set=angle_set, step_voltage=step_voltage, fundamental_frequency=f1
     )

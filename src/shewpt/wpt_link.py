@@ -12,8 +12,6 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import SingularMatrixError, ValidationError, _check_magnitude, _check_record
 
 __all__ = [
@@ -119,7 +117,12 @@ class FhaSolution:
 
 
 def fha_solve(params: WptLinkParams) -> FhaSolution:
-    """Solve the two-mesh phasor system at the switching frequency.
+    """Solve the two-mesh phasor system at the switching frequency in closed
+    form: Z_in = Z11 + (wM)^2/Z22, I1 = V1/Z_in and I2 = -j wM I1/Z22 (W.
+    Zhang and C. C. Mi, IEEE Trans. Veh. Technol. 65(6), 2016). The mesh
+    [[Z11, j wM], [j wM, Z22]] is singular where cond_2 = sigma_1^2/|det| >
+    1e12, with |det| = |Z22| |Z_in|, F^2 = |Z11|^2 + 2 (wM)^2 + |Z22|^2 and
+    sigma_1^2 = (F^2 + sqrt((F^2 - 2|det|)(F^2 + 2|det|)))/2, all over |Z22|^2.
 
     The diode drop's fundamental e is in phase with I2, so it is a resistance
     e/|I2| in series with the load. With a = Z11*Z22 + (wM)^2, x = |I2| solves
@@ -147,36 +150,26 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
             z22 += e * (b + math.sqrt(b * b - a * a * c)) / -c
         else:
             wm = 0.0  # the bridge blocks: I2 = 0 leaves the primary uncoupled
-    mesh = np.array([[z11, 1j * wm], [1j * wm, z22]], dtype=complex)
-    if np.linalg.cond(mesh) > 1e12:
+    z_in = z11 + wm * wm / z22
+    # over |Z22|^2 no square overflows, and a zero determinant is singular
+    z22_abs = abs(z22)
+    z11_n, wm_n, det_n = abs(z11) / z22_abs, wm / z22_abs, abs(z_in) / z22_abs
+    f2 = z11_n * z11_n + 2.0 * wm_n * wm_n + 1.0
+    sigma1_sq = (f2 + math.sqrt(max(0.0, (f2 - 2.0 * det_n) * (f2 + 2.0 * det_n)))) / 2.0
+    if not sigma1_sq <= 1e12 * det_n:
         raise SingularMatrixError("mesh matrix numerically singular")
-    with np.errstate(all="ignore"):
-        i1, i2 = np.linalg.solve(mesh, np.array([v1, 0.0], dtype=complex))
-        z_in = v1 / i1
-        # solved in numpy; only the results become Python numbers, because the
-        # same arithmetic in Python complex rounds Z_in differently
-        solution = FhaSolution(
-            I1=complex(i1),
-            I2=complex(i2),
-            V1=v1,
-            Z_in=complex(z_in),
-            P_out=float(abs(i2) ** 2 * params.r_ac),
-            P_in=float((v1 * i1.conjugate()).real),
-        )
-    # np.linalg.solve can round I1 to 0 where Z_in = Z11 + (wM)^2 / Z22 is
-    # finite: each result that is not finite is named
-    for name in ("V1", "I1", "I2", "Z_in", "P_out", "P_in"):
-        value = getattr(solution, name)
-        if not cmath.isfinite(value):
-            raise ValidationError(
-                f"params: {name} = {value!r} is not finite; the mesh solve lost it to rounding"
-            )
-    return solution
+    i1 = v1 / z_in
+    i2 = -1j * wm * i1 / z22 if wm else 0j  # a zero current has phase 0
+    i2_abs = abs(i2)
+    return FhaSolution(I1=i1, I2=i2, V1=v1, Z_in=z_in, P_out=i2_abs * i2_abs * params.r_ac,
+                       P_in=(v1 * i1.conjugate()).real)
 
 
 def power_scaling_check(params: WptLinkParams, V_dc_a: float, V_dc_b: float) -> float:
     """P_out(V_dc_b) / P_out(V_dc_a); (V_dc_b/V_dc_a)^2 only without a diode drop."""
     _check_record("params", params, WptLinkParams)
+    _check_magnitude("V_dc_a", V_dc_a)
+    _check_magnitude("V_dc_b", V_dc_b)
     p_a = fha_solve(replace(params, V_dc=V_dc_a)).P_out
     p_b = fha_solve(replace(params, V_dc=V_dc_b)).P_out
     if p_a == 0.0:

@@ -4,6 +4,9 @@ any change shows in a diff."""
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,3 +276,19 @@ def test_settable_value_count():
     package = Path(__file__).resolve().parents[1] / "src" / "shewpt"
     found = sum(_settable_values(ast.parse(p.read_text())) for p in package.glob("*.py"))
     assert found == SETTABLE_VALUES
+
+
+def test_importing_shewpt_loads_neither_logging_nor_argparse():
+    # a fresh interpreter that imports numpy and then shewpt: logging would
+    # add 5-10 ms to the import, and argparse with gettext 2.3-3.6 ms, though
+    # only a multistart logs and only the command line parses arguments
+    code = (
+        "import sys, numpy; before = set(sys.modules); import shewpt; "
+        "print(sorted({'logging', 'argparse'} & (set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -365,7 +365,7 @@ class TestWpt:
         (["synth", "--angles-deg", "12,42,86", "--step-voltage", "500",
           "--samples", "1"], "samples"),
         (["synth", "--angles-deg", "12,42,86", "--step-voltage", "500",
-          "--frequency", "inf"], "fundamental_frequency"),
+          "--frequency", "inf"], "f1"),
         (["synth", "--angles-deg", "12,42,86", "--step-voltage", "inf"],
          "step_voltage"),
         # outside the magnitude domain: it wrote a waveform with a 3e16 V peak

@@ -515,6 +515,22 @@ class TestMultistart:
             assert np.all(degs >= 0.01)
             assert np.all(degs <= 90.0 - 0.01)
 
+    def test_the_bound_band_is_a_minimum_pulse_width(self, monkeypatch):
+        # the 0.01 degree band is 0.01 / 360 of the period, 0.33 ns at 85 kHz.
+        # The root of (7, 11, 13, 17, 19, 23) with its top angle at 89.9986
+        # degrees (residual 4e-15) switches its top layer on for 0.0027
+        # degrees of each half cycle, 89 ps, so it is dropped; at 89.985
+        # degrees the pulse is 0.03 degrees, 0.98 ns, and the root is kept
+        low = [20.511, 33.585, 47.284, 55.771, 67.300]
+        roots = np.radians([low + [89.9986], low + [89.985]])
+
+        def two_converged_roots(seeds, orders, tol, max_iter):
+            return roots, np.full(2, 4e-15), np.full(2, she_solver.CONVERGED), np.full(2, 9)
+
+        monkeypatch.setattr(she_solver, "_newton_batch", two_converged_roots)
+        solutions = solve_multistart(HarmonicTargetSet((7, 11, 13, 17, 19, 23)))
+        assert [s.angle_set.angles for s in solutions] == [tuple(roots[1])]
+
     @pytest.mark.parametrize("orders", [(3, 5, 7), (5, 7, 11)])
     def test_equals_the_reference_loop(self, orders):
         # the seed-by-seed loop over the scalar reference, first found kept

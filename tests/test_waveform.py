@@ -74,8 +74,10 @@ class TestSynth:
         aset = AngleSet.from_degrees([11, 41, 85])
         with pytest.raises(ValidationError, match="step_voltage"):
             synth(aset, -1.0, 50.0)
-        with pytest.raises(ValidationError, match="fundamental_frequency"):
+        with pytest.raises(ValidationError, match="^f1: "):
             synth(aset, 500.0, 0.0)
+        with pytest.raises(ValidationError, match="fundamental_frequency"):
+            waveform.SteppedWaveform(aset, 500.0, 0.0)
 
 
 class TestSample:
