@@ -76,8 +76,8 @@ def _check_magnitude(name: str, value, allow_zero: bool = False) -> None:
     - Once fha_solve's guard passes, cond_2 = sigma_1^2 / |det| <= 1e12 with
       sigma_1^2 >= F^2 / 2 and |det| = |Z22| |Z_in|, so |Z_in| >= F^2 / (2e12
       |Z22|) >= |Z22| / 2e12 >= 4e-28, as |Z22| >= r_ac >= 8.1e-16. Then
-      |I1| <= 0.9e15 / 4e-28 <= 2.2e42, |I2| = wM |I1| / |Z22| <= 1.7e88 and
-      P_out = |I2|^2 r_ac <= 2.4e191: every field of the solution is finite.
+      |I1| <= 9.1e14 / 4e-28 < 2.3e42, |I2| = wM |I1| / |Z22| < 1.8e88 and
+      P_out = |I2|^2 r_ac < 2.7e191: every field of the solution is finite.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     if not (real and (value > 0 or allow_zero and value == 0)):

@@ -410,7 +410,7 @@ class TestMagnitudeDomain:
     pytestmark = pytest.mark.filterwarnings("error")
 
     def test_every_corner_of_the_box(self):
-        # the same links raise SingularMatrixError as under the mesh solve
+        # the counts that np.linalg.cond of the mesh matrix gives
         outcomes = Counter(map(_solves_or_raises_singular, _box_corners()))
         assert outcomes == Counter(solved=453, singular=699)
 
@@ -418,6 +418,7 @@ class TestMagnitudeDomain:
         links, resonant = _box_sample()
         outcomes = Counter(map(_solves_or_raises_singular, links))
         assert resonant == 321
+        # as np.linalg.cond of the mesh matrix gives them
         assert outcomes == Counter(solved=2197, singular=803)
 
     def test_the_cancelled_link_solves(self):
