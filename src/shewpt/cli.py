@@ -227,14 +227,9 @@ def cmd_wpt(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_COMPARISON_FAILED
 
 
-def _solve_reference(ref):
-    targets = she_solver.HarmonicTargetSet(ref["orders"])
-    init = waveform.AngleSet.from_degrees(ref["init_deg"])
-    return she_solver.solve_newton(init, targets)
-
-
 def _reproduce_level_case(ref, name, steps_per_cycle) -> RunReport:
-    sol = _solve_reference(ref)
+    targets = she_solver.HarmonicTargetSet(ref["orders"])
+    sol = she_solver.solve_newton(waveform.AngleSet.from_degrees(ref["init_deg"]), targets)
     w = waveform.synth(sol.angle_set, ref["step_voltage"], DRIVE_FREQUENCY)
     report = RunReport(
         command=f"reproduce {name}",
@@ -324,6 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out-dir", default=".", help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # the options shared by synth and spectrum, and by wpt and reproduce
+    staircase = argparse.ArgumentParser(add_help=False)
+    staircase.add_argument("--angles-deg", required=True)
+    staircase.add_argument("--step-voltage", type=float, required=True)
+    staircase.add_argument("--frequency", type=float, default=DRIVE_FREQUENCY)
+    staircase.add_argument("--samples", type=int, default=8192)
+    transient = argparse.ArgumentParser(add_help=False)
+    transient.add_argument("--steps-per-cycle", type=int, default=4096)
 
     p = sub.add_parser("solve", help="solve a harmonic elimination angle system")
     p.add_argument("--harmonics", required=True, help="orders to eliminate, e.g. 3,5,7")
@@ -331,31 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multistart", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("synth", help="synthesize a stepped waveform to CSV/SVG")
-    p.add_argument("--angles-deg", required=True)
-    p.add_argument("--step-voltage", type=float, required=True)
-    p.add_argument("--frequency", type=float, default=DRIVE_FREQUENCY)
-    p.add_argument("--samples", type=int, default=8192)
+    p = sub.add_parser("synth", parents=[staircase],
+                       help="synthesize a stepped waveform to CSV/SVG")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("spectrum", help="harmonic spectrum and THD of a waveform")
-    p.add_argument("--angles-deg", required=True)
-    p.add_argument("--step-voltage", type=float, required=True)
-    p.add_argument("--frequency", type=float, default=DRIVE_FREQUENCY)
+    p = sub.add_parser("spectrum", parents=[staircase],
+                       help="harmonic spectrum and THD of a waveform")
     p.add_argument("--n-max", type=int, default=21)
-    p.add_argument("--samples", type=int, default=8192)
     p.add_argument("--eliminated", default=None, help="eliminated orders, e.g. 3,5,7")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("wpt", help="predict the coupled-coil link behaviour")
+    p = sub.add_parser("wpt", parents=[transient],
+                       help="predict the coupled-coil link behaviour")
     p.add_argument("--config", default=None, help="JSON link config (defaults to the measured setup)")
     p.add_argument("--mode", choices=["fha", "transient"], default="fha")
-    p.add_argument("--steps-per-cycle", type=int, default=4096)
     p.set_defaults(func=cmd_wpt)
 
-    p = sub.add_parser("reproduce", help="regenerate the headline reference numbers")
+    p = sub.add_parser("reproduce", parents=[transient],
+                       help="regenerate the headline reference numbers")
     p.add_argument("--case", choices=[*REPRODUCE_CASES, "all"], default="all")
-    p.add_argument("--steps-per-cycle", type=int, default=4096)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

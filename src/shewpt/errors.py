@@ -1,5 +1,5 @@
-"""Exception types, and the rules for counts, magnitudes, paths, records and
-sequences, shared across the package."""
+"""Exception types, and the rules for counts, magnitudes, paths, records,
+sequences and arrays, shared across the package."""
 
 import math
 import numbers
@@ -18,6 +18,11 @@ class DimensionMismatchError(ValidationError):
 
 class SingularMatrixError(RuntimeError):
     """A linear system matrix is numerically singular."""
+
+
+# A matrix whose 2-norm condition number is above this is singular: the
+# Newton Jacobians of she_solver and the phasor mesh of wpt_link
+CONDITION_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
@@ -111,3 +116,17 @@ def _as_tuple(name: str, values) -> tuple:
     except TypeError:
         raise ValidationError(f"{name}: {values!r} is not a sequence") from None
     return tuple(items)
+
+
+def _as_real_array(name: str, value) -> np.ndarray:
+    """An array argument (times, samples, a state, amplitudes) as float64: one
+    array numpy can hold, not a ragged list; of integers or reals, not bools,
+    strings, complex numbers or objects; every element finite. The caller
+    tests its shape."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list, or an object numpy rejects
+        raise ValidationError(f"{name}: numpy cannot hold it as one array") from None
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValidationError(f"{name}: must be real and finite")
+    return array.astype(float, copy=False)

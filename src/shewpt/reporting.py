@@ -125,16 +125,20 @@ def write_meta_sidecar(path) -> None:
     write_json(meta, str(path) + ".meta.json")
 
 
-_SVG_WIDTH, _SVG_HEIGHT = 800, 400
+_SVG_WIDTH, _SVG_HEIGHT, _SVG_PAD = 800, 400, 40
 
 
-def _svg_header():
+def _write_svg(path, title, body) -> None:
+    """An SVG plot on white: the ``body`` elements, then ``title`` at the top left."""
     width, height = _SVG_WIDTH, _SVG_HEIGHT
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-    )
+    with open(path, "w") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}" viewBox="0 0 {width} {height}">\n'
+            f'<rect width="{width}" height="{height}" fill="white"/>\n'
+            + "".join(body)
+            + f'<text x="{_SVG_PAD}" y="20" font-size="14">{title}</text>\n</svg>\n'
+        )
 
 
 # The SVG plots are the CLI's, so not in __all__; cli imports them by these
@@ -142,42 +146,33 @@ def _svg_header():
 def waveform_svg(t, v, path) -> None:
     """Polyline plot of one waveform period, a vertex at each end of a run of equal v."""
     _check_path(path)
-    width, height = _SVG_WIDTH, _SVG_HEIGHT
+    width, height, pad = _SVG_WIDTH, _SVG_HEIGHT, _SVG_PAD
     t = np.asarray(t, dtype=float)
     v = np.asarray(v, dtype=float)
     keep = np.ones(len(v), dtype=bool)
     keep[1:-1] = (v[1:-1] != v[:-2]) | (v[1:-1] != v[2:])
     t, v = t[keep], v[keep]
-    pad = 40
     vmax = max(float(np.max(np.abs(v))), 1e-12)
     x = pad + (t - t[0]) / (t[-1] - t[0]) * (width - 2 * pad)
     y = height / 2 - v / vmax * (height / 2 - pad)
     points = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
-    parts = [_svg_header()]
-    parts.append(
+    _write_svg(path, "multilevel output voltage", [
         f'<line x1="{pad}" y1="{height / 2}" x2="{width - pad}" '
-        f'y2="{height / 2}" stroke="#999" stroke-width="1"/>\n'
-    )
-    parts.append(
+        f'y2="{height / 2}" stroke="#999" stroke-width="1"/>\n',
         f'<polyline points="{points}" fill="none" stroke="#0055aa" '
-        f'stroke-width="1.5"/>\n'
-    )
-    parts.append(f'<text x="{pad}" y="20" font-size="14">multilevel output voltage</text>\n')
-    parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+        f'stroke-width="1.5"/>\n',
+    ])
 
 
 def spectrum_svg(orders, rel_amplitudes, path) -> None:
     """Bar chart of harmonic amplitudes relative to the fundamental."""
     _check_path(path)
-    width, height = _SVG_WIDTH, _SVG_HEIGHT
+    width, height, pad = _SVG_WIDTH, _SVG_HEIGHT, _SVG_PAD
     orders = list(orders)
     rel = np.asarray(rel_amplitudes, dtype=float)
-    pad = 40
     bar_w = (width - 2 * pad) / max(len(orders), 1)
     top = max(float(np.max(rel)), 1e-12)
-    parts = [_svg_header()]
+    parts = []
     for i, (n, a) in enumerate(zip(orders, rel)):
         h = a / top * (height - 2 * pad)
         x0 = pad + i * bar_w
@@ -190,8 +185,4 @@ def spectrum_svg(orders, rel_amplitudes, path) -> None:
                 f'<text x="{x0 + 0.5 * bar_w:.2f}" y="{height - pad + 14}" '
                 f'font-size="10" text-anchor="middle">{n}</text>\n'
             )
-    title = "harmonic amplitudes relative to fundamental"
-    parts.append(f'<text x="{pad}" y="20" font-size="14">{title}</text>\n')
-    parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    _write_svg(path, "harmonic amplitudes relative to fundamental", parts)

@@ -17,6 +17,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import (
+    CONDITION_LIMIT,
     DimensionMismatchError,
     DivergenceError,
     NonConvergenceError,
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 MAX_STEP_HALVINGS = 30
-CONDITION_LIMIT = 1e12
 DEDUP_TOL_DEG = 0.01
 LATTICE_POINT_LIMIT = 1_000_000_000
 # Newton's residual tolerance and iteration cap, read at each call: the
@@ -151,7 +151,7 @@ def _halvings_to_box(theta: np.ndarray, step: np.ndarray) -> np.ndarray:
     return np.frexp((np.abs(step) / room).max(axis=1))[1] - 1
 
 
-def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: int):
+def _newton_batch(theta0: np.ndarray, orders: np.ndarray):
     """Damped Newton iteration of every row of ``theta0`` (S, K) at once.
 
     Each iteration solves the active seeds' Newton systems as one stack.
@@ -163,7 +163,7 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     only the seeds still pending try a further scale. A seed that exhausts
     the halvings retires as DIVERGED if no scaled iterate was inside, and
     as STALLED otherwise; so does a seed whose norm is still at or above
-    tol after max_iter steps.
+    TOL after MAX_ITER steps.
 
     A seed whose candidate at 2^-j leaves the box does not try the next
     halvings one pass each: it jumps to max(j + 1, _halvings_to_box). That
@@ -190,11 +190,11 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
     res = _residual_raw(theta, orders)
     norm = np.abs(res).max(axis=1)
     status = np.full(len(theta), STALLED)
-    iters = np.full(len(theta), max_iter)
+    iters = np.full(len(theta), MAX_ITER)
     active = np.arange(len(theta))
     half_pi = math.pi / 2
-    for it in range(max_iter):
-        done = norm[active] < tol
+    for it in range(MAX_ITER):
+        done = norm[active] < TOL
         status[active[done]] = CONVERGED
         iters[active[done]] = it
         active = active[~done]
@@ -250,7 +250,7 @@ def _newton_batch(theta0: np.ndarray, orders: np.ndarray, tol: float, max_iter: 
         status[active[failed]] = np.where(inside_seen[failed], STALLED, DIVERGED)
         iters[active[failed]] = it
         active = active[accepted]
-    status[active[norm[active] < tol]] = CONVERGED
+    status[active[norm[active] < TOL]] = CONVERGED
     return theta, norm, status, iters
 
 
@@ -266,9 +266,7 @@ def solve_newton(initial: AngleSet, targets: HarmonicTargetSet) -> SheSolution:
     _newton_batch), with the same iterates as halving one scale at a time.
     """
     _check_square("initial", initial, targets)
-    theta, norm, status, iters = _newton_batch(
-        initial.as_array()[None, :], targets.as_array(), TOL, MAX_ITER
-    )
+    theta, norm, status, iters = _newton_batch(initial.as_array()[None, :], targets.as_array())
     theta, norm, status, it = theta[0], float(norm[0]), status[0], int(iters[0])
     if status == CONVERGED:
         return _finish(theta, norm, it)
@@ -327,7 +325,7 @@ def solve_multistart(targets: HarmonicTargetSet) -> list[SheSolution]:
         )
     values = np.radians(np.arange(1, MULTISTART_VALUES + 1) * MULTISTART_STEP_DEG)
     seeds = values[np.array(list(combinations(range(MULTISTART_VALUES), targets.size)))]
-    theta, norm, status, iters = _newton_batch(seeds, targets.as_array(), TOL, MAX_ITER)
+    theta, norm, status, iters = _newton_batch(seeds, targets.as_array())
     counts = np.bincount(status, minlength=4)
     dedup = math.radians(DEDUP_TOL_DEG)
     rows = np.flatnonzero(status == CONVERGED)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedThdError, ValidationError, _as_tuple, _check_count
-from .errors import _check_magnitude, _check_record
+from .errors import UndefinedThdError, ValidationError, _as_real_array, _as_tuple
+from .errors import _check_count, _check_magnitude, _check_record
 from .reporting import _write_csv
 from .waveform import (
     AngleSet,
@@ -50,6 +50,13 @@ class HarmonicSpectrum:
 
     fundamental_frequency: float
     amplitudes: np.ndarray  # amplitudes[n] is order n; index 0 unused
+
+    def __post_init__(self):
+        _check_magnitude("fundamental_frequency", self.fundamental_frequency)
+        amplitudes = _as_real_array("amplitudes", self.amplitudes)
+        if amplitudes.ndim != 1 or len(amplitudes) < 2:
+            raise ValidationError("amplitudes: must be one row of index 0 and orders 1 and up")
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @property
     def n_max(self) -> int:
@@ -85,12 +92,9 @@ def _check_dft_size(count: int, n_max: int):
 def dft_spectrum(samples, f1: float, n_max: int) -> HarmonicSpectrum:
     """Plain harmonic-aligned DFT of one uniformly sampled period."""
     _check_magnitude("f1", f1)
-    samples = np.asarray(samples)
-    # not a string, a complex or a bool
-    real = samples.dtype.kind in "iuf"
-    if not (real and samples.ndim == 1 and np.isfinite(samples).all()):
-        raise ValidationError("samples: must be one period of real, finite values")
-    samples = samples.astype(float, copy=False)
+    samples = _as_real_array("samples", samples)
+    if samples.ndim != 1:
+        raise ValidationError("samples: must be a row of one period")
     _check_dft_size(len(samples), n_max)
     bins = np.fft.rfft(samples) / len(samples)
     amps = np.zeros(n_max + 1)
@@ -163,8 +167,6 @@ def thd_total_closed_form(angle_set: AngleSet, step_voltage: float) -> float:
     """Untruncated THD via Parseval: sqrt(V_rms^2 / V_rms1^2 - 1)."""
     v_rms = total_rms(angle_set, step_voltage)
     v1 = fundamental_rms(angle_set, step_voltage)
-    if v1 == 0.0:
-        raise UndefinedThdError("fundamental amplitude is zero; THD undefined")
     return math.sqrt(max(0.0, (v_rms / v1) ** 2 - 1.0))
 
 

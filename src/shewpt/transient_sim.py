@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, _check_count, _check_magnitude
-from .errors import _check_record
+from .errors import DivergenceError, ValidationError, _as_real_array, _check_count
+from .errors import _check_magnitude, _check_record
 from .reporting import _write_csv
 from .waveform import SteppedWaveform, _interval_means
 # fha_solve is not called here; it stays a module attribute because the
@@ -109,13 +109,9 @@ class SteadyStateMetrics:
         }
 
 
-def _inverse_inductance(params: WptLinkParams) -> np.ndarray:
-    m = params.mutual
-    return np.linalg.inv(np.array([[params.L1, m], [m, params.L2]]))
-
-
 def _system_matrices(params: WptLinkParams):
-    l_inv = _inverse_inductance(params)
+    m = params.mutual
+    l_inv = np.linalg.inv(np.array([[params.L1, m], [m, params.L2]]))
     a = np.zeros((4, 4))
     a[0:2, 0:2] = l_inv @ np.diag([-params.R1, -(params.R2 + params.r_ac)])
     a[0:2, 2:4] = -l_inv
@@ -176,12 +172,9 @@ def simulate(
     _check_record("params", params, WptLinkParams)
     _check_steps_per_cycle(steps_per_cycle)
     if initial_state is not None:
-        initial_state = np.asarray(initial_state)
-        # not a string, a complex or a bool
-        real = initial_state.dtype.kind in "iuf"
-        if not (real and initial_state.shape == (4,) and np.isfinite(initial_state).all()):
-            raise ValidationError("initial_state: must be four real, finite values")
-        initial_state = initial_state.astype(float, copy=False)
+        initial_state = _as_real_array("initial_state", initial_state)
+        if initial_state.shape != (4,):
+            raise ValidationError("initial_state: must be a row of four values")
     v_cycle, freq = _drive_samples(drive, steps_per_cycle)
     dt = 1.0 / (freq * steps_per_cycle)
 
@@ -257,7 +250,7 @@ def steady_state_metrics(
     i1, i2 = cycle[:, 0], cycle[:, 1]
     drive = trace.drive
 
-    gain = _inverse_inductance(params)[:, 0]  # di/dt per volt of drive
+    gain = _system_matrices(params)[1][:2]  # di/dt per volt of drive
     prev = np.concatenate((drive[-1:], drive[:-1]))  # cyclic: the step before
     edges = np.nonzero(drive != prev)[0]
     dv = drive[edges] - prev[edges]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _as_tuple, _check_count, _check_magnitude, _check_record
+from .errors import ValidationError, _as_real_array, _as_tuple, _check_count
+from .errors import _check_magnitude, _check_record
 from .reporting import _write_csv
 
 __all__ = [
@@ -136,12 +137,8 @@ class SteppedWaveform:
         given in periods, the edge table's positions and the level from each
         edge on, and the index of the last edge at or before each x, so the
         staircase is right-continuous, as the interval means read it.
-        ``value`` must be real (not a bool) and finite (``name`` is the
-        argument)."""
-        value = np.asarray(value)
-        if value.dtype.kind not in "iuf" or not np.all(np.isfinite(value)):
-            raise ValidationError(f"{name}: must be real and finite")
-        x = np.mod(value.astype(float), period) / period
+        ``value`` (the argument ``name``) is an array argument of any shape."""
+        x = np.mod(_as_real_array(name, value), period) / period
         pos, jump = _edge_table(self.angle_set.as_array())
         return x, pos, np.cumsum(jump), np.searchsorted(pos, x, side="right") - 1
 

@@ -12,7 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
-from .errors import SingularMatrixError, ValidationError, _check_magnitude, _check_record
+from .errors import CONDITION_LIMIT, SingularMatrixError, ValidationError, _check_magnitude
+from .errors import _check_record
 
 __all__ = [
     "WptLinkParams",
@@ -121,7 +122,7 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
     form: Z_in = Z11 + (wM)^2/Z22, I1 = V1/Z_in and I2 = -j wM I1/Z22 (W.
     Zhang and C. C. Mi, IEEE Trans. Veh. Technol. 65(6), 2016). The mesh
     [[Z11, j wM], [j wM, Z22]] is singular where cond_2 = sigma_1^2/|det| >
-    1e12, with |det| = |Z22| |Z_in|, F^2 = |Z11|^2 + 2 (wM)^2 + |Z22|^2 and
+    CONDITION_LIMIT, with |det| = |Z22| |Z_in|, F^2 = |Z11|^2 + 2 (wM)^2 + |Z22|^2 and
     sigma_1^2 = (F^2 + sqrt((F^2 - 2|det|)(F^2 + 2|det|)))/2, all over |Z22|^2.
 
     The diode drop's fundamental e is in phase with I2, so it is a resistance
@@ -156,7 +157,7 @@ def fha_solve(params: WptLinkParams) -> FhaSolution:
     z11_n, wm_n, det_n = abs(z11) / z22_abs, wm / z22_abs, abs(z_in) / z22_abs
     f2 = z11_n * z11_n + 2.0 * wm_n * wm_n + 1.0
     sigma1_sq = (f2 + math.sqrt(max(0.0, (f2 - 2.0 * det_n) * (f2 + 2.0 * det_n)))) / 2.0
-    if not sigma1_sq <= 1e12 * det_n:
+    if not sigma1_sq <= CONDITION_LIMIT * det_n:
         raise SingularMatrixError("mesh matrix numerically singular")
     i1 = v1 / z_in
     i2 = -1j * wm * i1 / z22 if wm else 0j  # a zero current has phase 0

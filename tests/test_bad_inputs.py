@@ -16,6 +16,7 @@ import pytest
 import shewpt
 from shewpt import (
     AngleSet,
+    HarmonicSpectrum,
     HarmonicTargetSet,
     SquareDrive,
     SteppedWaveform,
@@ -55,6 +56,7 @@ SPEC = analytic_spectrum(ANGLES, 500.0, 85e3, 21)
 LINK = WptLinkParams(
     L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)
 DRIVE = SquareDrive(100.0, 85e3)
+RAGGED = [[1.0, 2.0], [3.0]]
 
 # (id, the argument the message names, the call)
 BAD_CALLS = [
@@ -241,6 +243,29 @@ BAD_CALLS = [
     ("spectrum-csv-path-list", "path", lambda p: spectrum_to_csv(SPEC, [p])),
     ("waveform-svg-path-none", "path", lambda p: waveform_svg([0.0, 1.0], [0.0, 1.0], None)),
     ("spectrum-svg-path-float", "path", lambda p: spectrum_svg([1, 3], [1.0, 0.1], 2.5)),
+    # numpy's ValueError: a ragged list is not one array
+    ("sample_at-ragged", "t", lambda p: WAVE.sample_at(RAGGED)),
+    ("angle_integral-ragged", "phase", lambda p: WAVE.angle_integral(RAGGED)),
+    ("dft-ragged", "samples", lambda p: dft_spectrum(RAGGED, 50.0, 9)),
+    ("simulate-initial-ragged", "initial_state",
+     lambda p: simulate(LINK, DRIVE, 512, initial_state=RAGGED)),
+    # accepted: thd then raised TypeError or ValueError, warned ComplexWarning,
+    # or returned a wrong value or nan
+    ("spectrum-amplitudes-none", "amplitudes", lambda p: HarmonicSpectrum(85e3, None)),
+    ("spectrum-amplitudes-str", "amplitudes", lambda p: HarmonicSpectrum(85e3, "abc")),
+    ("spectrum-amplitudes-set", "amplitudes", lambda p: HarmonicSpectrum(85e3, {1.0, 2.0})),
+    ("spectrum-amplitudes-complex", "amplitudes",
+     lambda p: HarmonicSpectrum(85e3, np.array([1j, 2j]))),
+    ("spectrum-amplitudes-2d", "amplitudes", lambda p: HarmonicSpectrum(85e3, np.ones((4, 2)))),
+    ("spectrum-amplitudes-one", "amplitudes", lambda p: HarmonicSpectrum(85e3, np.ones(1))),
+    ("spectrum-amplitudes-nan", "amplitudes",
+     lambda p: HarmonicSpectrum(85e3, [0.0, math.nan, 1.0])),
+    ("spectrum-amplitudes-object", "amplitudes",
+     lambda p: HarmonicSpectrum(85e3, np.array([0.0, 1.0], dtype=object))),
+    ("spectrum-f1-nan", "fundamental_frequency",
+     lambda p: HarmonicSpectrum(math.nan, np.ones(3))),
+    ("spectrum-f1-0", "fundamental_frequency", lambda p: HarmonicSpectrum(0.0, np.ones(3))),
+    ("spectrum-f1-true", "fundamental_frequency", lambda p: HarmonicSpectrum(True, np.ones(3))),
 ]
 
 
@@ -417,8 +442,7 @@ def _valid_arguments(key, path):
 
 # the magnitude parameters of each public callable, by one rule: each real
 # argument of its valid call, defaults included, but those of the records the
-# package builds for a caller to read, and of HarmonicSpectrum, which has no
-# rule yet
+# package builds for a caller to read
 MAGNITUDES = {
     "shewpt.she_solver.grid_oracle": ("step_deg",),
     "shewpt.waveform.SteppedWaveform": ("step_voltage", "fundamental_frequency"),
@@ -426,6 +450,7 @@ MAGNITUDES = {
     "shewpt.waveform.harmonic_amplitude": ("step_voltage",),
     "shewpt.waveform.fundamental_rms": ("step_voltage",),
     "shewpt.waveform.total_rms": ("step_voltage",),
+    "shewpt.spectrum.HarmonicSpectrum": ("fundamental_frequency",),
     "shewpt.spectrum.dft_spectrum": ("f1",),
     "shewpt.spectrum.analytic_spectrum": ("step_voltage", "f1"),
     "shewpt.spectrum.thd_total_closed_form": ("step_voltage",),
@@ -437,7 +462,6 @@ MAGNITUDES = {
 }
 UNCHECKED_RECORDS = {
     "shewpt.she_solver.SheSolution",
-    "shewpt.spectrum.HarmonicSpectrum",
     "shewpt.spectrum.ThdReport",
     "shewpt.wpt_link.FhaSolution",
     "shewpt.transient_sim.TransientTrace",

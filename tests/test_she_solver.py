@@ -161,9 +161,7 @@ def _seed_loop_branches(orders):
     dedup loop: a valid root, off the bounds, the first found kept."""
     dedup = 0.01 * DEG
     seeds = np.array(_lattice_seeds(len(orders)))
-    theta, norm, status, iters = she_solver._newton_batch(
-        seeds, np.asarray(orders, dtype=float), 1e-12, 60
-    )
+    theta, norm, status, iters = she_solver._newton_batch(seeds, np.asarray(orders, dtype=float))
     found = []
     for i in np.flatnonzero(status == she_solver.CONVERGED):
         try:
@@ -351,7 +349,7 @@ class TestNewton:
         assert got == _outcome(_reference_newton, np.array(theta), targets_3.as_array())
 
     @pytest.mark.parametrize("orders", [(3, 9), (3, 5, 7), (5, 7, 11, 13)])
-    def test_singular_at_the_first_step_is_cond_2_above_the_limit(self, orders):
+    def test_singular_at_the_first_step_is_cond_2_above_the_limit(self, orders, monkeypatch):
         # one angle pair 1e-17 to 1e-6 apart sweeps cond_2 across 1e12; the
         # kernel screens cond_2 without an SVD and must retire exactly the
         # seeds whose cond_2 of -n sin(n theta) is above 1e12
@@ -361,7 +359,8 @@ class TestNewton:
         theta[:, 1] = theta[:, 0] + np.logspace(-17, -6, len(theta))
         jac = -arr[:, None] * np.sin(arr[:, None] * theta[:, None, :])
         want = np.linalg.cond(jac) > 1e12
-        _, _, status, iters = she_solver._newton_batch(theta, arr, 1e-12, 1)
+        monkeypatch.setattr(she_solver, "MAX_ITER", 1)
+        _, _, status, iters = she_solver._newton_batch(theta, arr)
         assert 0 < np.count_nonzero(want) < len(want)
         assert np.array_equal((status == she_solver.SINGULAR) & (iters == 0), want)
 
@@ -408,7 +407,7 @@ class TestNewton:
         theta, step = seeds[:1], np.array([[-2.15e9, 2.15e9, -1.8e-2]])
         assert she_solver._halvings_to_box(theta, step)[0] > 30
         orders = targets_3.as_array()
-        got = she_solver._newton_batch(seeds, orders, 1e-12, 60)
+        got = she_solver._newton_batch(seeds, orders)
         assert (got[2][0], got[3][0]) == (she_solver.DIVERGED, 0)
         want = [_outcome(_reference_newton, seed, orders) for seed in seeds]
         assert [_row_outcome(*row) for row in zip(*got)] == want
@@ -426,9 +425,9 @@ class TestNewton:
 
         monkeypatch.setattr(she_solver, "_residual_raw", counted)
         orders = targets_3.as_array()
-        got = she_solver._newton_batch(np.array([(0.3, 0.3 + 1e-11, 1.0)]), orders, 1e-12, 60)
+        got = she_solver._newton_batch(np.array([(0.3, 0.3 + 1e-11, 1.0)]), orders)
         assert (got[2][0], got[3][0]) == (she_solver.DIVERGED, 0)
-        she_solver._newton_batch(np.array(_lattice_seeds(3)), orders, 1e-12, 60)
+        she_solver._newton_batch(np.array(_lattice_seeds(3)), orders)
         assert len(rows) > 2 and min(rows) > 0
 
     def test_builds_no_jacobian_of_zero_rows(self, targets_3, monkeypatch):
@@ -443,14 +442,15 @@ class TestNewton:
             return jacobian(theta, orders)
 
         monkeypatch.setattr(she_solver, "_jacobian_raw", counted)
+        monkeypatch.setattr(she_solver, "MAX_ITER", 5)
         orders = targets_3.as_array()
         converging, running = np.radians([10.0, 40.0, 80.0]), np.radians([20.0, 50.0, 70.0])
-        alone = [she_solver._newton_batch(seed[None], orders, 1e-12, 5)
+        alone = [she_solver._newton_batch(seed[None], orders)
                  for seed in (converging, running)]
         assert [(a[2][0], a[3][0]) for a in alone] == [
             (she_solver.CONVERGED, 4), (she_solver.STALLED, 5)]
         assert rows == [1] * (4 + 5)  # four steps, then five: none of zero rows
-        batched = she_solver._newton_batch(np.array([converging, running]), orders, 1e-12, 5)
+        batched = she_solver._newton_batch(np.array([converging, running]), orders)
         for i, (seed, one) in enumerate(zip((converging, running), alone)):
             row = tuple(part[i] for part in batched)
             assert [np.asarray(x).tobytes() for x in row] == [x[0].tobytes() for x in one]
@@ -463,8 +463,7 @@ class TestNewton:
         # batch, against the scalar loop seed by seed, bit for bit
         seeds = np.array(_lattice_seeds(len(orders))[::10])
         arr = np.asarray(orders, dtype=float)
-        got = [_row_outcome(*row) for row in zip(*she_solver._newton_batch(
-            seeds, arr, 1e-12, 60))]
+        got = [_row_outcome(*row) for row in zip(*she_solver._newton_batch(seeds, arr))]
         want = [_outcome(_reference_newton, seed, arr) for seed in seeds]
         assert {o[0] for o in want} >= {"ok", "DivergenceError", "NonConvergenceError"}
         assert got == want
@@ -524,7 +523,7 @@ class TestMultistart:
         low = [20.511, 33.585, 47.284, 55.771, 67.300]
         roots = np.radians([low + [89.9986], low + [89.985]])
 
-        def two_converged_roots(seeds, orders, tol, max_iter):
+        def two_converged_roots(seeds, orders):
             return roots, np.full(2, 4e-15), np.full(2, she_solver.CONVERGED), np.full(2, 9)
 
         monkeypatch.setattr(she_solver, "_newton_batch", two_converged_roots)

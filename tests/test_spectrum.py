@@ -229,6 +229,14 @@ class TestThdClosedForm:
             math.sqrt(math.pi**2 / 8 - 1), rel=1e-6
         )
 
+    @pytest.mark.parametrize("step_voltage", [1e-15, 1e15])
+    def test_the_domain_corner_has_a_finite_thd(self, step_voltage):
+        # one angle a float below pi/2 at either end of the magnitude domain:
+        # cos(theta) = 2.8e-16 and the pulse is 2.2e-16 rad wide, so
+        # THD^2 = (2/pi) 2.2e-16 / ((8/pi^2) cos(theta)^2) - 1 = 2.2e15
+        aset = AngleSet((float(np.nextafter(math.pi / 2, 0.0)),))
+        assert thd_total_closed_form(aset, step_voltage) == pytest.approx(4.6618e7, rel=1e-4)
+
 
 class TestThdReport:
     def test_report_invariants(self, waveform_3):
