@@ -152,9 +152,8 @@ def cmd_spectrum(args) -> int:
     eliminated = () if args.eliminated is None else _parse_list(
         args.eliminated, "eliminated", int
     )
-    spec, report = spec_mod._spectrum_and_report(
-        w, args.n_max, eliminated, spec_mod.THD_BAND_TOTAL, args.samples
-    )
+    report = spec_mod.thd_report(w, eliminated, samples_per_period=args.samples)
+    spec = spec_mod.waveform_dft_spectrum(w, args.n_max, args.samples)
     csv_path = out_dir / "spectrum.csv"
     spec_mod.spectrum_to_csv(spec, csv_path)
     svg_path = out_dir / "spectrum.svg"
@@ -180,14 +179,14 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _add_transient_check(report: RunReport, params, fha, steps_per_cycle):
+def _add_transient_check(report: RunReport, params, fha):
     """Simulate the square-driven link and report its steady state against FHA.
 
     Adds the transient outputs, their diagnostics and the 5% P_out
     comparison to ``report``; returns the trace.
     """
     drive = transient_sim.SquareDrive(amplitude=params.V_dc, frequency=params.f_s)
-    trace = transient_sim.simulate(params, drive, steps_per_cycle=steps_per_cycle)
+    trace = transient_sim.simulate(params, drive)
     metrics = transient_sim.steady_state_metrics(trace, params)
     report.outputs["transient"] = dict(
         metrics.to_dict(),
@@ -215,7 +214,7 @@ def cmd_wpt(args) -> int:
     fha = wpt_link.fha_solve(params)
     report.outputs["fha"] = fha.to_dict()
     if args.mode == "transient":
-        trace = _add_transient_check(report, params, fha, args.steps_per_cycle)
+        trace = _add_transient_check(report, params, fha)
         trace_path = out_dir / "transient_trace.csv"
         trace.to_csv(trace_path)
         report.outputs["trace_csv"] = str(trace_path)
@@ -227,7 +226,7 @@ def cmd_wpt(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_COMPARISON_FAILED
 
 
-def _reproduce_level_case(ref, name, steps_per_cycle) -> RunReport:
+def _reproduce_level_case(ref, name) -> RunReport:
     targets = she_solver.HarmonicTargetSet(ref["orders"])
     sol = she_solver.solve_newton(waveform.AngleSet.from_degrees(ref["init_deg"]), targets)
     w = waveform.synth(sol.angle_set, ref["step_voltage"], DRIVE_FREQUENCY)
@@ -255,7 +254,7 @@ def _reproduce_level_case(ref, name, steps_per_cycle) -> RunReport:
     return report
 
 
-def _reproduce_wpt_case(v_dc, p_ref, name, steps_per_cycle) -> RunReport:
+def _reproduce_wpt_case(v_dc, p_ref, name) -> RunReport:
     cfg = dict(TABLE_LINK_CONFIG, V_dc_V=v_dc)
     params = wpt_link.WptLinkParams.from_config(cfg)
     fha = wpt_link.fha_solve(params)
@@ -270,7 +269,7 @@ def _reproduce_wpt_case(v_dc, p_ref, name, steps_per_cycle) -> RunReport:
         fha.P_out,
         REFERENCE_WPT["power_tol_rel"] * p_ref,
     )
-    _add_transient_check(report, params, fha, steps_per_cycle)
+    _add_transient_check(report, params, fha)
     if name == "wpt100":
         ratio = wpt_link.power_scaling_check(params, 100.0, 150.0)
         report.add_comparison("model power ratio 150V/100V", 2.25, ratio, 1e-9)
@@ -281,7 +280,7 @@ def _reproduce_wpt_case(v_dc, p_ref, name, steps_per_cycle) -> RunReport:
     return report
 
 
-# reproduce case name -> builder(name, steps_per_cycle); also the --case choices
+# reproduce case name -> builder(name); also the --case choices
 REPRODUCE_CASES = {
     "3level": functools.partial(_reproduce_level_case, REFERENCE_3LEVEL),
     "4level": functools.partial(_reproduce_level_case, REFERENCE_4LEVEL),
@@ -292,10 +291,8 @@ REPRODUCE_CASES = {
 
 def cmd_reproduce(args) -> int:
     out_dir = _out_dir(args)
-    # checked for every case, though only the wpt cases simulate
-    transient_sim._check_steps_per_cycle(args.steps_per_cycle)
     cases = list(REPRODUCE_CASES) if args.case == "all" else [args.case]
-    reports = [REPRODUCE_CASES[case](case, args.steps_per_cycle) for case in cases]
+    reports = [REPRODUCE_CASES[case](case) for case in cases]
     consolidated = {
         "cases": [rep.to_dict() for rep in reports],
         "all_passed": all(rep.all_passed for rep in reports),
@@ -319,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out-dir", default=".", help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # the options shared by synth and spectrum, and by wpt and reproduce
+    # the options shared by synth and spectrum
     staircase = argparse.ArgumentParser(add_help=False)
     staircase.add_argument("--angles-deg", required=True)
     staircase.add_argument("--step-voltage", type=float, required=True)
     staircase.add_argument("--frequency", type=float, default=DRIVE_FREQUENCY)
     staircase.add_argument("--samples", type=int, default=8192)
-    transient = argparse.ArgumentParser(add_help=False)
-    transient.add_argument("--steps-per-cycle", type=int, default=4096)
 
     p = sub.add_parser("solve", help="solve a harmonic elimination angle system")
     p.add_argument("--harmonics", required=True, help="orders to eliminate, e.g. 3,5,7")
@@ -344,14 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eliminated", default=None, help="eliminated orders, e.g. 3,5,7")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("wpt", parents=[transient],
-                       help="predict the coupled-coil link behaviour")
+    p = sub.add_parser("wpt", help="predict the coupled-coil link behaviour")
     p.add_argument("--config", default=None, help="JSON link config (defaults to the measured setup)")
     p.add_argument("--mode", choices=["fha", "transient"], default="fha")
     p.set_defaults(func=cmd_wpt)
 
-    p = sub.add_parser("reproduce", parents=[transient],
-                       help="regenerate the headline reference numbers")
+    p = sub.add_parser("reproduce", help="regenerate the headline reference numbers")
     p.add_argument("--case", choices=[*REPRODUCE_CASES, "all"], default="all")
     p.set_defaults(func=cmd_reproduce)
     return parser

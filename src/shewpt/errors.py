@@ -121,12 +121,15 @@ def _as_tuple(name: str, values) -> tuple:
 def _as_real_array(name: str, value) -> np.ndarray:
     """An array argument (times, samples, a state, amplitudes) as float64: one
     array numpy can hold, not a ragged list; of integers or reals, not bools,
-    strings, complex numbers or objects; every element finite. The caller
-    tests its shape."""
+    strings, complex numbers or objects; every element finite as a float64,
+    so a long double past its range is refused. The caller tests its shape."""
     try:
         array = np.asarray(value)
     except (TypeError, ValueError):  # a ragged list, or an object numpy rejects
         raise ValidationError(f"{name}: numpy cannot hold it as one array") from None
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    if array.dtype.kind in "iuf":
+        with np.errstate(over="ignore"):  # the overflow is the inf tested next
+            array = array.astype(float, copy=False)
+    if array.dtype.kind != "f" or not np.isfinite(array).all():
         raise ValidationError(f"{name}: must be real and finite")
-    return array.astype(float, copy=False)
+    return array

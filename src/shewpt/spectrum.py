@@ -170,15 +170,15 @@ def thd_total_closed_form(angle_set: AngleSet, step_voltage: float) -> float:
     return math.sqrt(max(0.0, (v_rms / v1) ** 2 - 1.0))
 
 
-def _spectrum_and_report(
-    w: SteppedWaveform, n_max: int, eliminated_orders, band_total: int, samples_per_period: int
-) -> tuple[HarmonicSpectrum, ThdReport]:
-    """The spectrum of w to n_max orders and its ThdReport over band_total
-    orders, from one DFT to the larger of n_max and the band, max(21,
-    band_total) orders. Each order's amplitude is an elementwise function of
-    its bin, so both take the bits of a DFT to their own orders."""
+def thd_report(
+    w: SteppedWaveform,
+    eliminated_orders=(),
+    band_total: int = THD_BAND_TOTAL,
+    samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
+) -> ThdReport:
+    """THD over 21 and over band_total orders, and the largest eliminated order
+    relative to the fundamental, from one DFT to max(21, band_total) orders."""
     _check_record("w", w, SteppedWaveform)
-    _check_count("n_max", n_max, 1)
     _check_count("band_total", band_total, 1)
     _check_count("samples_per_period", samples_per_period, 2)
     eliminated_orders = _as_tuple("eliminated_orders", eliminated_orders)
@@ -188,29 +188,16 @@ def _spectrum_and_report(
             f"samples_per_period: {samples_per_period} too few for the "
             f"{band}-order THD band (Nyquist)"
         )
-    spec = waveform_dft_spectrum(w, max(n_max, band), samples_per_period)
-    # only the band's orders: an eliminated order past them is out of range
-    # even when spec runs further
-    in_band = HarmonicSpectrum(spec.fundamental_frequency, spec.amplitudes[: band + 1])
-    a1 = in_band.amplitude(1)
-    rel = max((in_band.amplitude(n) / a1 for n in eliminated_orders), default=0.0)
-    report = ThdReport(
+    spec = waveform_dft_spectrum(w, band, samples_per_period)
+    a1 = spec.amplitude(1)
+    rel = max((spec.amplitude(n) / a1 for n in eliminated_orders), default=0.0)
+    return ThdReport(
         thd_total=thd_total_closed_form(w.angle_set, w.step_voltage),
-        thd_21=thd(in_band, 21),
+        thd_21=thd(spec, 21),
         band_total=band_total,
-        thd_band=thd(in_band, band_total),
+        thd_band=thd(spec, band_total),
         eliminated_orders_max_relative=rel,
     )
-    return HarmonicSpectrum(spec.fundamental_frequency, spec.amplitudes[: n_max + 1]), report
-
-
-def thd_report(
-    w: SteppedWaveform,
-    eliminated_orders=(),
-    band_total: int = THD_BAND_TOTAL,
-    samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-) -> ThdReport:
-    return _spectrum_and_report(w, 21, eliminated_orders, band_total, samples_per_period)[1]
 
 
 def spectrum_to_csv(spectrum: HarmonicSpectrum, path) -> None:

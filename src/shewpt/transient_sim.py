@@ -141,7 +141,26 @@ def _drive_samples(drive, steps_per_cycle: int):
 MAX_STEPS_PER_CYCLE = 2**20
 
 
-def _check_steps_per_cycle(steps_per_cycle) -> None:
+def simulate(
+    params: WptLinkParams,
+    drive,
+    steps_per_cycle: int = 4096,
+    initial_state: np.ndarray | None = None,
+) -> TransientTrace:
+    """One drive cycle from ``initial_state``, else from the periodic steady state.
+
+    The load is ``params.r_ac``, and ``params.diode_drop`` is 0: the tank has
+    no diode model. ``steps_per_cycle`` is an integer power of two.
+    ``initial_state`` is a state row (i1, i2, vC1, vC2) of four finite values.
+    Raises DivergenceError when the cycle propagator or a state is not
+    finite or exceeds 1e9 (naming the first such step: one reduction checks
+    the whole cycle, and only a failing one is scanned step by step), and,
+    for the steady state, when the propagator's spectral radius is >= 1 (a
+    lossless tank rounds to that).
+    """
+    _check_record("params", params, WptLinkParams)
+    if params.diode_drop:
+        raise ValidationError(f"diode_drop: {params.diode_drop!r} must be 0 (no diode model)")
     _check_count("steps_per_cycle", steps_per_cycle, 1)
     if (
         not 512 <= steps_per_cycle <= MAX_STEPS_PER_CYCLE
@@ -151,26 +170,6 @@ def _check_steps_per_cycle(steps_per_cycle) -> None:
             f"steps_per_cycle: {steps_per_cycle!r} must be a power of two "
             f"in [512, {MAX_STEPS_PER_CYCLE}]"
         )
-
-
-def simulate(
-    params: WptLinkParams,
-    drive,
-    steps_per_cycle: int = 4096,
-    initial_state: np.ndarray | None = None,
-) -> TransientTrace:
-    """One drive cycle from ``initial_state``, else from the periodic steady state.
-
-    The load is ``params.r_ac``; ``steps_per_cycle`` is an integer power of two.
-    ``initial_state`` is a state row (i1, i2, vC1, vC2) of four finite values.
-    Raises DivergenceError when the cycle propagator or a state is not
-    finite or exceeds 1e9 (naming the first such step: one reduction checks
-    the whole cycle, and only a failing one is scanned step by step), and,
-    for the steady state, when the propagator's spectral radius is >= 1 (a
-    lossless tank rounds to that).
-    """
-    _check_record("params", params, WptLinkParams)
-    _check_steps_per_cycle(steps_per_cycle)
     if initial_state is not None:
         initial_state = _as_real_array("initial_state", initial_state)
         if initial_state.shape != (4,):

@@ -57,6 +57,8 @@ LINK = WptLinkParams(
     L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=0.3, R_load_dc=50.0, V_dc=100.0, f_s=85e3)
 DRIVE = SquareDrive(100.0, 85e3)
 RAGGED = [[1.0, 2.0], [3.0]]
+# finite as a long double, inf as a float64
+HUGE = np.array([np.longdouble("1e400")])
 
 # (id, the argument the message names, the call)
 BAD_CALLS = [
@@ -249,6 +251,20 @@ BAD_CALLS = [
     ("dft-ragged", "samples", lambda p: dft_spectrum(RAGGED, 50.0, 9)),
     ("simulate-initial-ragged", "initial_state",
      lambda p: simulate(LINK, DRIVE, 512, initial_state=RAGGED)),
+    # a long double past the float64 range passed the finiteness test and
+    # became inf in the float64 cast: sample_at gave [0.], angle_integral
+    # [nan], and HarmonicSpectrum stored inf
+    ("sample_at-longdouble-1e400", "t", lambda p: WAVE.sample_at(HUGE)),
+    ("angle_integral-longdouble-1e400", "phase", lambda p: WAVE.angle_integral(HUGE)),
+    ("dft-longdouble-1e400", "samples",
+     lambda p: dft_spectrum(np.append(np.zeros(63), HUGE), 50.0, 9)),
+    ("simulate-initial-longdouble-1e400", "initial_state",
+     lambda p: simulate(LINK, DRIVE, 512, initial_state=np.append(np.zeros(3), HUGE))),
+    ("spectrum-amplitudes-longdouble-1e400", "amplitudes",
+     lambda p: HarmonicSpectrum(85e3, np.append(np.zeros(2), HUGE))),
+    # simulate has no diode model: it traced the link as if the drop were 0
+    ("simulate-diode-drop", "diode_drop",
+     lambda p: simulate(replace(LINK, diode_drop=1.4), DRIVE, 512)),
     # accepted: thd then raised TypeError or ValueError, warned ComplexWarning,
     # or returned a wrong value or nan
     ("spectrum-amplitudes-none", "amplitudes", lambda p: HarmonicSpectrum(85e3, None)),

@@ -8,7 +8,7 @@ import pytest
 
 from shewpt import AngleSet, fha_solve, synth
 from shewpt.cli import main
-from shewpt import she_solver, spectrum
+from shewpt import she_solver
 from shewpt.spectrum import spectrum_to_csv, thd_report, waveform_dft_spectrum
 from shewpt.waveform import SteppedWaveform
 
@@ -227,7 +227,7 @@ class TestSpectrum:
     @pytest.mark.parametrize(
         "n_max, samples", [(21, 8192), (99, 2048), (1500, 8192), (2000, 65536)]
     )
-    def test_one_dft_serves_both_files(self, tmp_path, capsys, monkeypatch, n_max, samples):
+    def test_both_files_are_the_library_calls(self, tmp_path, capsys, n_max, samples):
         angles = (11.991979, 41.927883, 85.674771)
         w = SteppedWaveform(AngleSet.from_degrees(angles), 500.0, 85e3)
         expected = thd_report(w, eliminated_orders=(3, 5, 7), samples_per_period=samples)
@@ -235,21 +235,12 @@ class TestSpectrum:
             waveform_dft_spectrum(w, n_max, samples_per_period=samples),
             tmp_path / "expected.csv",
         )
-        calls = []
-        interval_means = spectrum.interval_mean_samples
-
-        def counted(w, count):
-            calls.append(count)
-            return interval_means(w, count)
-
-        monkeypatch.setattr(spectrum, "interval_mean_samples", counted)
         code, _, _ = run(capsys, [
             "--out-dir", str(tmp_path), "spectrum", "--angles-deg", ",".join(map(str, angles)),
             "--step-voltage", "500", "--eliminated", "3,5,7", "--n-max", str(n_max),
             "--samples", str(samples),
         ])
         assert code == 0
-        assert calls == [samples]
         assert (tmp_path / "spectrum.csv").read_bytes() == (
             tmp_path / "expected.csv").read_bytes()
         report = json.loads((tmp_path / "thd_report.json").read_text())
@@ -315,11 +306,7 @@ class TestWpt:
 
     def test_transient_mode(self, tmp_path, capsys):
         code, out, _ = run(
-            capsys,
-            [
-                "--out-dir", str(tmp_path), "wpt", "--mode", "transient",
-                "--steps-per-cycle", "1024",
-            ],
+            capsys, ["--out-dir", str(tmp_path), "wpt", "--mode", "transient"]
         )
         assert code == 0
         assert "[PASS]" in out
@@ -332,21 +319,36 @@ class TestWpt:
             "I1_rms_A", "I2_rms_A", "P_out_W", "P_in_W", "zvs",
             "spectral_radius", "energy_balance_residual",
         }
-        # the trapezoid error of the balance grows as h^2: 2.5e-6 at 1024 steps
-        assert transient["energy_balance_residual"] < 1e-5
+        # the trapezoid error of the balance grows as h^2: 1.6e-7 at 4096 steps
+        assert transient["energy_balance_residual"] < 1e-6
 
     def test_transient_stdout_prints_plain_numbers(self, tmp_path, capsys):
         code, out, _ = run(
-            capsys,
-            [
-                "--out-dir", str(tmp_path), "wpt", "--mode", "transient",
-                "--steps-per-cycle", "512",
-            ],
+            capsys, ["--out-dir", str(tmp_path), "wpt", "--mode", "transient"]
         )
         assert code == 0
         (line,) = [ln for ln in out.splitlines() if ln.startswith("  transient:")]
         assert "energy_balance_residual" in line
         assert "np." not in out
+
+    def test_a_diode_drop_exits_2_in_transient_mode_only(self, tmp_path, capsys):
+        # the FHA model takes the drop; simulate has no diode model, and
+        # traced the link as if the drop were 0 and printed [PASS]
+        cfg = tmp_path / "link.json"
+        cfg.write_text(json.dumps({
+            "L1_H": 245e-6, "C1_F": 14e-9, "k": 0.309, "R_load_ohm": 50.0,
+            "V_dc_V": 100.0, "f_s_Hz": 85e3, "diode_drop_V": 40.0,
+        }))
+        fha_dir, transient_dir = tmp_path / "fha", tmp_path / "transient"
+        code, _, _ = run(capsys, ["--out-dir", str(fha_dir), "wpt", "--config", str(cfg)])
+        assert code == 0
+        code, out, err = run(capsys, [
+            "--out-dir", str(transient_dir), "wpt", "--mode", "transient", "--config", str(cfg),
+        ])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error: diode_drop: 40.0")
+        assert list(transient_dir.iterdir()) == []
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -422,17 +424,15 @@ class TestReproduce:
         report = json.loads((tmp_path / "reproduce_report.json").read_text())
         assert report["all_passed"] is True
 
-    @pytest.mark.parametrize("case", ["3level", "4level", "wpt100", "all"])
-    def test_rejects_a_bad_step_count_for_every_case(self, tmp_path, capsys, case):
-        # the level cases simulate nothing, and took any --steps-per-cycle
-        code, _, err = run(
-            capsys,
-            ["--out-dir", str(tmp_path), "reproduce", "--case", case,
-             "--steps-per-cycle", "7"],
-        )
-        assert code == 2
-        assert err.startswith("validation error: steps_per_cycle: 7 must be a power of two")
-        assert not (tmp_path / "reproduce_report.json").exists()
+    @pytest.mark.parametrize("command", ["wpt", "reproduce"])
+    def test_the_step_count_is_fixed(self, tmp_path, capsys, command):
+        # the transient checks run at simulate's 4,096 steps per cycle:
+        # argparse rejects --steps-per-cycle as an unrecognised argument
+        with pytest.raises(SystemExit) as info:
+            main(["--out-dir", str(tmp_path), command, "--steps-per-cycle", "4096"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --steps-per-cycle 4096" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_all_cases(self, tmp_path, capsys):
         # every case writes through write_json, which takes Python values only

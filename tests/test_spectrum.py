@@ -106,8 +106,8 @@ class TestWaveformSpectrum:
     def test_leading_orders_do_not_depend_on_how_many_are_taken(
         self, waveform_3, waveform_4, count
     ):
-        # the spectrum CLI takes one DFT to the THD band and writes its first
-        # n_max orders; they must be the bits of a DFT taken to n_max
+        # the spectrum CLI writes a DFT to n_max orders and thd_report reads
+        # one to the THD band; their shared orders must be the same bits
         for w in (waveform_3, waveform_4):
             full = waveform_dft_spectrum(w, count // 2 - 1, samples_per_period=count)
             for n_max in (1, 2, 21, 99, 500, 999, count // 2 - 2):
