@@ -250,7 +250,8 @@ def test_cli_reads_no_private_name_of_the_library():
     # the command line drives the public API of the library modules; the
     # format owner's helpers, reporting._read_json and _write_csv, are allowed
     library = {"she_solver", "waveform", "spectrum", "wpt_link", "transient_sim"}
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "shewpt" / "cli.py").read_text())
+    path = Path(__file__).resolve().parents[1] / "src" / "shewpt" / "cli.py"
+    tree = ast.parse(path.read_text())
     bound, private = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
