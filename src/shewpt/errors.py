@@ -52,6 +52,15 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValidationError(f"{name}: {value!r} must be >= {minimum}")
 
 
+def _as_order(name: str, value) -> int:
+    """A harmonic order to eliminate (a target, an eliminated order) as an int:
+    an odd integer >= 3, or an integral float, not a bool, nan or a string. The
+    test below inf keeps numpy's remainder of an infinity from warning."""
+    if not (isinstance(value, numbers.Real) and 3 <= value < math.inf and value % 2 == 1):
+        raise ValidationError(f"{name}: {value!r} must be an odd integer >= 3")
+    return int(value)
+
+
 # The magnitude domain: every voltage, frequency, component value and lattice
 # step lies in [MAGNITUDE_MIN, MAGNITUDE_MAX], or is exactly 0 where zero is
 # allowed.
@@ -83,6 +92,9 @@ def _check_magnitude(name: str, value, allow_zero: bool = False) -> None:
       |Z22|) >= |Z22| / 2e12 >= 4e-28, as |Z22| >= r_ac >= 8.1e-16. Then
       |I1| <= 9.1e14 / 4e-28 < 2.3e42, |I2| = wM |I1| / |Z22| < 1.8e88 and
       P_out = |I2|^2 r_ac < 2.7e191: every field of the solution is finite.
+    - simulate bounds no state but requires it finite. Its capacitor voltages
+      peak near 4.26 V_dc on the table link, so about 4.3e15 V at the top of
+      the domain, and its P_out then matches fha_solve's 2.0e28 W.
     """
     real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     if not (real and (value > 0 or allow_zero and value == 0)):

@@ -113,10 +113,12 @@ def _read_json(path):
 
 
 def write_json(obj, path) -> None:
+    """``obj`` as strict JSON, key-sorted and indented; a non-finite number or an
+    object JSON cannot encode raises before the file is opened, writing nothing."""
     _check_path(path)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_meta_sidecar(path) -> None:
@@ -152,7 +154,7 @@ def waveform_svg(t, v, path) -> None:
     keep = np.ones(len(v), dtype=bool)
     keep[1:-1] = (v[1:-1] != v[:-2]) | (v[1:-1] != v[2:])
     t, v = t[keep], v[keep]
-    vmax = max(float(np.max(np.abs(v))), 1e-12)
+    vmax = float(np.max(np.abs(v))) or 1.0  # an all-zero row draws the axis
     x = pad + (t - t[0]) / (t[-1] - t[0]) * (width - 2 * pad)
     y = height / 2 - v / vmax * (height / 2 - pad)
     points = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
@@ -171,7 +173,7 @@ def spectrum_svg(orders, rel_amplitudes, path) -> None:
     orders = list(orders)
     rel = np.asarray(rel_amplitudes, dtype=float)
     bar_w = (width - 2 * pad) / max(len(orders), 1)
-    top = max(float(np.max(rel)), 1e-12)
+    top = float(np.max(rel))
     parts = []
     for i, (n, a) in enumerate(zip(orders, rel)):
         h = a / top * (height - 2 * pad)

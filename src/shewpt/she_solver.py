@@ -10,7 +10,6 @@ angle lattice of any step serves as an independent oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -23,6 +22,7 @@ from .errors import (
     NonConvergenceError,
     SingularMatrixError,
     ValidationError,
+    _as_order,
     _as_tuple,
     _check_magnitude,
     _check_record,
@@ -70,13 +70,7 @@ class HarmonicTargetSet:
         orders = _as_tuple("orders", self.orders)
         if len(orders) == 0:
             raise ValidationError("orders: at least one harmonic order required")
-        for i, n in enumerate(orders):
-            # also rejects a fraction, nan and a string
-            if not (isinstance(n, numbers.Real) and n >= 3 and n % 2 == 1):
-                raise ValidationError(
-                    f"orders[{i}]: {n!r} must be an odd integer >= 3"
-                )
-        orders = tuple(int(n) for n in orders)
+        orders = tuple(_as_order(f"orders[{i}]", n) for i, n in enumerate(orders))
         object.__setattr__(self, "orders", orders)
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValidationError("orders: must be strictly ascending")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedThdError, ValidationError, _as_real_array, _as_tuple
+from .errors import UndefinedThdError, ValidationError, _as_order, _as_real_array, _as_tuple
 from .errors import _check_count, _check_magnitude, _check_record
 from .reporting import _write_csv
 from .waveform import (
@@ -181,7 +181,10 @@ def thd_report(
     _check_record("w", w, SteppedWaveform)
     _check_count("band_total", band_total, 1)
     _check_count("samples_per_period", samples_per_period, 2)
-    eliminated_orders = _as_tuple("eliminated_orders", eliminated_orders)
+    eliminated_orders = [
+        _as_order(f"eliminated_orders[{i}]", n)
+        for i, n in enumerate(_as_tuple("eliminated_orders", eliminated_orders))
+    ]
     band = max(21, band_total)
     if samples_per_period < 2 * band + 2:
         raise ValidationError(

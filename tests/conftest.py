@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from shewpt import (
@@ -9,6 +11,17 @@ from shewpt import (
 )
 
 DRIVE_FREQ = 85e3
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a strict JSON number")
+
+
+def read_report(path):
+    """The JSON report at ``path``, parsed strictly: the bare tokens NaN,
+    Infinity and -Infinity, which Python's json accepts, raise ValueError."""
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=_refuse_constant)
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES: list[str] = []

@@ -88,7 +88,8 @@ BAD_CALLS = [
     ("analytic-n_max-2.5", "n_max", lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, 2.5)),
     # IndexError from the amplitude array
     ("amplitude-n-2.5", "n", lambda p: analytic_spectrum(ANGLES, 500.0, 85e3, 21).amplitude(2.5)),
-    ("thd_report-order-3.5", "n", lambda p: thd_report(WAVE, eliminated_orders=(3.5,))),
+    ("thd_report-order-3.5", "eliminated_orders",
+     lambda p: thd_report(WAVE, eliminated_orders=(3.5,))),
     # TypeError from the order's range test
     ("harmonic-n-str", "n", lambda p: harmonic_amplitude(ANGLES, 500.0, "3")),
     # a negative, infinite or NaN answer
@@ -129,7 +130,8 @@ BAD_CALLS = [
     ("link-k-false", "k", lambda p: WptLinkParams(
         L1=245e-6, L2=245e-6, C1=14e-9, C2=14e-9, k=False, R_load_dc=50.0, V_dc=100.0, f_s=85e3)),
     ("amplitude-n-true", "n", lambda p: SPEC.amplitude(True)),
-    ("thd_report-order-true", "n", lambda p: thd_report(WAVE, eliminated_orders=(True,))),
+    ("thd_report-order-true", "eliminated_orders",
+     lambda p: thd_report(WAVE, eliminated_orders=(True,))),
     # TypeError: a bare value was iterated
     ("angles-number", "angles", lambda p: AngleSet(0.5)),
     ("orders-number", "orders", lambda p: HarmonicTargetSet(3)),
@@ -145,6 +147,12 @@ BAD_CALLS = [
     ("thd_report-band-none", "band_total", lambda p: thd_report(WAVE, band_total=None)),
     ("thd_report-band-0", "band_total", lambda p: thd_report(WAVE, band_total=0)),
     ("thd_report-band-2.5", "band_total", lambda p: thd_report(WAVE, band_total=2.5)),
+    # an eliminated order is a target order, odd and >= 3: the fundamental
+    # reported 1.0, an even order about 1e-16
+    ("thd_report-order-1", "eliminated_orders",
+     lambda p: thd_report(WAVE, eliminated_orders=(1,))),
+    ("thd_report-order-2", "eliminated_orders",
+     lambda p: thd_report(WAVE, eliminated_orders=(2,))),
     # TypeError: the orders were iterated
     ("thd_report-eliminated-3", "eliminated_orders",
      lambda p: thd_report(WAVE, eliminated_orders=3)),

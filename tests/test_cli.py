@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import read_report
 
 from shewpt import AngleSet, fha_solve, synth
 from shewpt.cli import main
@@ -27,7 +28,7 @@ class TestSolve:
         )
         assert code == 0
         assert "30.0000" in out
-        report = json.loads((tmp_path / "she_solution.json").read_text())
+        report = read_report(tmp_path / "she_solution.json")
         assert report["solutions"][0]["residual_norm"] < 1e-12
         assert "converged" not in report["solutions"][0]
         assert report["solutions"][0]["angles_deg"][0] == pytest.approx(30.0)
@@ -40,7 +41,7 @@ class TestSolve:
             ["--out-dir", str(tmp_path), "solve", "--harmonics", "3,5,7", "--multistart"],
         )
         assert code == 0
-        report = json.loads((tmp_path / "she_solution.json").read_text())
+        report = read_report(tmp_path / "she_solution.json")
         assert len(report["solutions"]) >= 2
         for idx, sol in enumerate(report["solutions"]):
             # the per-row csv.writer loop that wrote these files before the
@@ -160,6 +161,18 @@ class TestSynth:
         assert code == 0
         assert calls == [8192]
 
+    def test_an_all_zero_sample_row_plots_on_the_axis(self, tmp_path, capsys):
+        # two samples land at phases 0 and pi, where the staircase is at its
+        # zero level: the polyline is the axis, with no nan coordinate
+        code, _, _ = run(capsys, [
+            "--out-dir", str(tmp_path), "synth", "--angles-deg", "11.99,41.93,85.67",
+            "--step-voltage", "500", "--samples", "2",
+        ])
+        assert code == 0
+        svg = (tmp_path / "waveform.svg").read_text()
+        assert "nan" not in svg
+        assert '<polyline points="40.00,200.00 760.00,200.00"' in svg
+
     @pytest.mark.parametrize("samples", [8192, 65536])
     def test_svg_draws_the_ends_of_each_level_run(self, tmp_path, capsys, samples):
         code, _, _ = run(capsys, [
@@ -196,7 +209,7 @@ class TestSpectrum:
             ],
         )
         assert code == 0
-        report = json.loads((tmp_path / "thd_report.json").read_text())
+        report = read_report(tmp_path / "thd_report.json")
         assert report["thd_first_21"] == pytest.approx(0.1514, abs=0.01)
         assert report["eliminated_orders_max_relative"] < 1e-6
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
@@ -213,7 +226,7 @@ class TestSpectrum:
             ],
         )
         assert code == 0
-        report = json.loads((tmp_path / "thd_report.json").read_text())
+        report = read_report(tmp_path / "thd_report.json")
         w = SteppedWaveform(AngleSet.from_degrees(angles), 500.0, 85e3)
         expected = thd_report(w, eliminated_orders=(3, 5, 7), samples_per_period=65536)
         assert report == {
@@ -243,7 +256,7 @@ class TestSpectrum:
         assert code == 0
         assert (tmp_path / "spectrum.csv").read_bytes() == (
             tmp_path / "expected.csv").read_bytes()
-        report = json.loads((tmp_path / "thd_report.json").read_text())
+        report = read_report(tmp_path / "thd_report.json")
         assert (report["thd_first_21"], report["thd_band"]) == (
             expected.thd_21, expected.thd_band)
         assert report["eliminated_orders_max_relative"] == (
@@ -272,7 +285,7 @@ class TestWpt:
         code, out, _ = run(capsys, ["--out-dir", str(tmp_path), "wpt"])
         assert code == 0
         assert "np." not in out
-        report = json.loads((tmp_path / "wpt_report.json").read_text())
+        report = read_report(tmp_path / "wpt_report.json")
         assert report["outputs"]["fha"]["P_out_W"] == pytest.approx(201.98, abs=0.01)
 
     def test_config_file_round_trip(self, tmp_path, capsys, table_params):
@@ -284,7 +297,7 @@ class TestWpt:
         }))
         code, _, _ = run(capsys, ["--out-dir", str(tmp_path), "wpt", "--config", str(cfg)])
         assert code == 0
-        report = json.loads((tmp_path / "wpt_report.json").read_text())
+        report = read_report(tmp_path / "wpt_report.json")
         assert report["outputs"]["fha"] == fha_solve(table_params).to_dict()
 
     def test_uncoupled_config_zero_power(self, tmp_path, capsys):
@@ -301,7 +314,7 @@ class TestWpt:
             capsys, ["--out-dir", str(tmp_path), "wpt", "--config", str(cfg)]
         )
         assert code == 0
-        report = json.loads((tmp_path / "wpt_report.json").read_text())
+        report = read_report(tmp_path / "wpt_report.json")
         assert report["outputs"]["fha"]["P_out_W"] == pytest.approx(0.0, abs=1e-12)
 
     def test_transient_mode(self, tmp_path, capsys):
@@ -311,7 +324,7 @@ class TestWpt:
         assert code == 0
         assert "[PASS]" in out
         assert (tmp_path / "transient_trace.csv").exists()
-        transient = json.loads((tmp_path / "wpt_report.json").read_text())["outputs"][
+        transient = read_report(tmp_path / "wpt_report.json")["outputs"][
             "transient"
         ]
         assert transient["spectral_radius"] == pytest.approx(0.6905984, rel=1e-6)
@@ -350,6 +363,22 @@ class TestWpt:
         assert err.startswith("validation error: diode_drop: 40.0")
         assert list(transient_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("v_dc", [1e9, 1e15])
+    def test_transient_mode_at_the_top_of_the_magnitude_domain(self, tmp_path, capsys, v_dc):
+        # the capacitor voltages reach about 4.26 V_dc; a state bound of 1e9
+        # failed this link from V_dc = 2.35e8 V up, which fha_solve solves
+        cfg = tmp_path / "link.json"
+        cfg.write_text(json.dumps({
+            "L1_H": 245e-6, "C1_F": 14e-9, "k": 0.309,
+            "R_load_ohm": 50.0, "V_dc_V": v_dc, "f_s_Hz": 85e3,
+        }))
+        code, out, err = run(capsys, [
+            "--out-dir", str(tmp_path), "wpt", "--mode", "transient", "--config", str(cfg),
+        ])
+        assert (code, err) == (0, "")
+        assert "[PASS] transient P_out vs FHA (5%)" in out
+        assert read_report(tmp_path / "wpt_report.json")["all_passed"] is True
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"L1_H": 245e-6}))
@@ -377,6 +406,9 @@ class TestWpt:
           "--n-max", "0"], "n_max"),
         (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
           "--eliminated", "3,x"], "eliminated"),
+        # the fundamental reported 1.0 as an eliminated order
+        (["spectrum", "--angles-deg", "12,42,86", "--step-voltage", "500",
+          "--eliminated", "1,3,5"], "eliminated_orders[0]: 1 must be an odd integer >= 3"),
         (["wpt", "--config", "{missing}"], "config"),
         (["wpt", "--config", "{not_json}"], "config"),
         (["wpt", "--config", "{text_number}"], "L1_H"),
@@ -390,6 +422,7 @@ class TestWpt:
     ids=[
         "synth-samples-0", "synth-samples-1", "synth-frequency-inf",
         "synth-step-voltage-inf", "synth-step-voltage-1e16", "spectrum-n-max-0", "spectrum-eliminated-not-int",
+        "spectrum-eliminated-fundamental",
         "wpt-config-missing", "wpt-config-not-json", "wpt-config-text-number",
         "wpt-config-list", "wpt-config-unknown-key", "spectrum-samples-below-thd-band",
         "multistart-empty-lattice",
@@ -421,7 +454,7 @@ class TestReproduce:
         )
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
-        report = json.loads((tmp_path / "reproduce_report.json").read_text())
+        report = read_report(tmp_path / "reproduce_report.json")
         assert report["all_passed"] is True
 
     @pytest.mark.parametrize("command", ["wpt", "reproduce"])
@@ -439,7 +472,7 @@ class TestReproduce:
         code, out, _ = run(capsys, ["--out-dir", str(tmp_path), "reproduce"])
         assert code == 0
         assert "[FAIL]" not in out and "np." not in out
-        report = json.loads((tmp_path / "reproduce_report.json").read_text())
+        report = read_report(tmp_path / "reproduce_report.json")
         assert [case["command"] for case in report["cases"]] == [
             "reproduce 3level", "reproduce 4level",
             "reproduce wpt100", "reproduce wpt150",

@@ -7,6 +7,7 @@ import pytest
 
 from shewpt import (
     AngleSet,
+    HarmonicTargetSet,
     UndefinedThdError,
     ValidationError,
     analytic_spectrum,
@@ -244,6 +245,25 @@ class TestThdReport:
         assert report.thd_21 <= report.thd_total
         assert report.thd_21 >= 0
         assert report.eliminated_orders_max_relative < 1e-6
+
+    @pytest.mark.parametrize(
+        "bad", [1, 2, -3, 3.5, True, math.nan, math.inf, np.float64(math.inf)]
+    )
+    def test_an_eliminated_order_is_a_target_order(self, waveform_3, bad):
+        # one rule, an odd integer >= 3, under each argument's own name; the
+        # fundamental reported 1.0 and an even order about 1e-16, and numpy's
+        # infinity warned from the remainder in HarmonicTargetSet
+        with pytest.raises(ValidationError) as target:
+            HarmonicTargetSet((3, bad))
+        assert str(target.value) == f"orders[1]: {bad!r} must be an odd integer >= 3"
+        with pytest.raises(ValidationError) as eliminated:
+            thd_report(waveform_3, eliminated_orders=(3, bad))
+        assert str(eliminated.value) == f"eliminated_orders[1]: {bad!r} must be an odd integer >= 3"
+
+    def test_an_integral_float_order_is_that_order(self, waveform_3):
+        # as in HarmonicTargetSet: 5.0 names the order 5
+        assert thd_report(waveform_3, eliminated_orders=(3.0, np.int64(5), 7.0)) == thd_report(
+            waveform_3, eliminated_orders=(3, 5, 7))
 
     def test_values_are_python_numbers(self, waveform_3, waveform_4):
         # a numpy scalar here would make write_json raise TypeError

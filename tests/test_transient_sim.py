@@ -305,24 +305,34 @@ class TestSimulate:
             simulate(p, SquareDrive(100.0, 100.0), steps_per_cycle=512)
 
     @pytest.mark.parametrize(
-        "initial, step", [((2e9, 0.0, 0.0, 0.0), 0), ((1e7, 0.0, 0.0, 0.0), 563)]
+        "initial, step", [((1e307, 0.0, 0.0, 0.0), 88), ((-1e308, 0.0, 0.0, 0.0), 9)]
     )
-    def test_state_magnitude_names_the_first_step_past_1e9(
+    def test_an_overflowing_start_names_the_first_non_finite_step(
         self, table_params, initial, step
     ):
-        # the propagator is finite; the states from this start leave 1e9 at
-        # the step that the sequential loop above also finds first
+        # the propagator is finite and the start is; the states from it
+        # overflow at the step that the sequential loop above also finds
+        # first, and no RuntimeWarning reaches the caller
         drive, spc = SquareDrive(100.0, 85e3), 4096
         v, freq = transient_sim._drive_samples(drive, spc)
-        states, _ = _sequential_cycle(
-            table_params, v, 1.0 / (freq * spc), table_params.r_ac, initial
-        )
-        assert np.isfinite(states).all()
-        assert int(np.argmax(np.abs(states).max(axis=1) > 1e9)) == step
-        with pytest.raises(
-            DivergenceError, match=rf"^state magnitude exceeded 1e9 at step {step}$"
-        ):
+        with np.errstate(over="ignore"):
+            states, _ = _sequential_cycle(
+                table_params, v, 1.0 / (freq * spc), table_params.r_ac, initial
+            )
+        assert int(np.argmin(np.isfinite(states).all(axis=1))) == step
+        with pytest.raises(DivergenceError, match=rf"^state not finite at step {step}$"):
             simulate(table_params, drive, steps_per_cycle=spc, initial_state=initial)
+
+    @pytest.mark.parametrize("v_dc", [1e9, 1e15])
+    def test_a_link_at_the_top_of_the_magnitude_domain_matches_fha(self, table_params, v_dc):
+        # the capacitor voltages peak near 4.26 V_dc, so about 4.3e15 V at
+        # the top of the domain: finite, and the link is as stable as at 100 V
+        p = replace(table_params, V_dc=v_dc)
+        trace = simulate(p, SquareDrive(v_dc, 85e3))
+        assert np.max(np.abs(trace.states[:, 2])) == pytest.approx(4.26 * v_dc, rel=0.01)
+        metrics = steady_state_metrics(trace, p)
+        fha = fha_solve(p)
+        assert abs(metrics.P_out - fha.P_out) / fha.P_out < 0.05
 
     def test_lossless_energy_conservation(self, table_params):
         # eleven free cycles, each started from the last state of the one before;
